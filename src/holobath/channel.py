@@ -12,10 +12,16 @@ Gate quality is the amplitude fidelity (the square-root convention)
     F(psi) = [ sum_m |<psi| G^dag A_m |psi>|^2 ]^(1/2),
 
 against the ideal gate G, averaged over a sin-weighted grid of input states
-cos(vartheta/2)|d> + e^{i xi} sin(vartheta/2)|b>.  Two code paths compute it:
-a closed-form one (valid whenever the errored bright/dark pair coincides with
-the ideal one, where F is xi-independent) and a direct 3x3 matrix path that
-handles arbitrary errors.  They are cross-checked in the test suite.
+cos(vartheta/2)|d> + e^{i xi} sin(vartheta/2)|b>.  On the qubit every U_m acts
+as |d'><d'| + u_m |b'><b'|, with (d', b') the errored dark/bright pair and u_m
+the bright-state survival amplitude, so for any error setting
+
+    F^2 = |A|^2 + 2 Re(A^* B <u>) + |B|^2 <|u|^2>,
+    A = <G psi|d'><d'|psi>,  B = <G psi|b'><b'|psi>,
+
+with <u> = sum_m p_m u_m and <|u|^2> = sum_m p_m |u_m|^2.  One kernel evaluates
+this for a scalar gamma or a whole gamma array; the dense 3x3 Kraus matrices
+live in :mod:`holobath.reference` and serve only to validate it.
 """
 
 from __future__ import annotations
@@ -31,7 +37,6 @@ from .lambda_system import (
     bright_dark_states,
     bright_survival_amplitude,
     ideal_gate,
-    propagator,
     wrap_phase,
 )
 from .spin_bath import SpinBath, thermal_weights
@@ -57,6 +62,8 @@ class InputState:
     def __post_init__(self):
         if not 0.0 <= self.vartheta <= math.pi:
             raise ValueError(f"vartheta must lie in [0, pi], got {self.vartheta}")
+        if not math.isfinite(self.xi):
+            raise ValueError(f"xi must be finite, got {self.xi}")
         object.__setattr__(self, "xi", wrap_phase(self.xi))
 
     def ket(self, dark: np.ndarray, bright: np.ndarray) -> np.ndarray:
@@ -66,117 +73,93 @@ class InputState:
 
 @dataclass(frozen=True)
 class HolonomicChannel:
-    """Immutable Kraus ensemble {sqrt(p_m) U_m} plus the ideal reference gate."""
+    """Thermal weights and survival amplitudes of {sqrt(p_m) U_m}, plus the ideal gate.
+
+    ``gamma`` is a scalar or a 1-D array; ``survival`` then has shape (N+1,)
+    or (len(gamma), N+1), one amplitude u_m per bath occupation m.
+    """
 
     params: LambdaParams
     errors: ErrorParams
     effective: EffectiveParams
     bath: SpinBath
-    gamma: float
+    gamma: float | np.ndarray
     weights: np.ndarray = field(repr=False)
-    unitaries: np.ndarray = field(repr=False)
     survival: np.ndarray = field(repr=False)
     tau0: float = field(repr=False)
-    chi: float = field(repr=False)
     gate: np.ndarray = field(repr=False)
     dark: np.ndarray = field(repr=False)
     bright: np.ndarray = field(repr=False)
-    symmetric: bool = field(repr=False)
-
-    @property
-    def kraus_ops(self) -> list[tuple[float, np.ndarray]]:
-        """(weight, unitary factor) pairs, one per bath occupation m = 0..N."""
-        return [(float(p), u) for p, u in zip(self.weights, self.unitaries)]
-
-    def kraus_matrices(self) -> np.ndarray:
-        """Stacked Kraus operators sqrt(p_m) * U_m, shape (N+1, 3, 3)."""
-        return np.sqrt(self.weights)[:, None, None] * self.unitaries
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        """Channel action sum_m A_m rho A_m^dag on a 3x3 density matrix."""
-        kraus = self.kraus_matrices()
-        return np.einsum("mij,jk,mlk->il", kraus, np.asarray(rho, dtype=complex), kraus.conj())
 
 
 def build_channel(
-    p: LambdaParams, e: ErrorParams, b: SpinBath, gamma: float
+    p: LambdaParams, e: ErrorParams, b: SpinBath, gamma: float | np.ndarray
 ) -> HolonomicChannel:
     """Assemble the channel for coupling strength gamma (ns^-1).
 
-    The pulse always runs for the ideal cyclic time tau0 = 2*pi/delta0 of the
-    unprimed parameters; errors enter only through the effective drive.
+    ``gamma`` may be a scalar or a 1-D array; an array yields one channel over
+    the whole grid, sharing the thermal weights.  The pulse always runs for
+    the ideal cyclic time tau0 = 2*pi/delta0 of the unprimed parameters;
+    errors enter only through the effective drive.
     """
+    gammas = np.asarray(gamma, dtype=float)
+    if gammas.ndim > 1:
+        raise ValueError(f"gamma must be a scalar or a 1-D array, got shape {gammas.shape}")
+    if not np.all(np.isfinite(gammas)):
+        raise ValueError(f"gamma must be finite, got {gamma}")
     eff = apply_errors(p, e)
     tau0 = p.tau0
-    weights = thermal_weights(b)
-    shifts = eff.delta_p + gamma * b.occupations()
-    eff_params = eff.as_params()
-    unitaries = np.stack(
-        [propagator(eff_params, float(shift), tau0) for shift in shifts]
-    )
-    survival = bright_survival_amplitude(eff.omega_p, shifts, tau0, p.delta0)
+    shifts = eff.delta_p + gammas[..., None] * b.occupations()
     dark, bright = bright_dark_states(p)
-    # The bright/dark pair is untouched by symmetric errors; with a single
-    # active pulse (theta at either endpoint) it is untouched by any error.
-    symmetric = e.is_symmetric or p.theta in (0.0, math.pi)
     return HolonomicChannel(
         params=p,
         errors=e,
         effective=eff,
         bath=b,
-        gamma=gamma,
-        weights=weights,
-        unitaries=unitaries,
-        survival=np.asarray(survival),
+        gamma=gammas if gammas.ndim else float(gammas),
+        weights=thermal_weights(b),
+        survival=bright_survival_amplitude(eff.omega_p, shifts, tau0, p.delta0),
         tau0=tau0,
-        chi=p.chi,
         gate=ideal_gate(p),
         dark=dark,
         bright=bright,
-        symmetric=symmetric,
     )
 
 
-def _fidelity_closed_form(ch: HolonomicChannel, varthetas: np.ndarray) -> np.ndarray:
-    """F(vartheta) from the survival amplitudes; requires ch.symmetric."""
-    half = 0.5 * varthetas
-    c2 = np.cos(half) ** 2
-    s2 = np.sin(half) ** 2
-    z = np.exp(1j * ch.chi) * ch.survival
-    amp = c2[..., None] - s2[..., None] * z
-    f2 = np.sum(ch.weights * np.abs(amp) ** 2, axis=-1)
-    # The exact value is bounded by 1; clamp float roundoff above the bound.
-    return np.minimum(np.sqrt(f2), 1.0)
+def _fidelity(ch: HolonomicChannel, varthetas: np.ndarray, xi: float = 0.0) -> np.ndarray:
+    """F for inputs (vartheta, xi), shape gamma.shape + varthetas.shape.
+
+    The bath enters only through <u> and <|u|^2>, reduced over m before they
+    meet the input states, so no (gamma, vartheta, m) array is ever built.
+    """
+    half = 0.5 * np.asarray(varthetas)
+    psi = (
+        np.cos(half)[..., None] * ch.dark
+        + (np.exp(1j * xi) * np.sin(half))[..., None] * ch.bright
+    )
+    target = psi @ ch.gate.T
+    dark_p, bright_p = ch.effective.bright_dark()
+    a = (target.conj() @ dark_p) * (psi @ dark_p.conj())
+    b = (target.conj() @ bright_p) * (psi @ bright_p.conj())
+    mean_u = ch.survival @ ch.weights
+    mean_u2 = np.abs(ch.survival) ** 2 @ ch.weights
+    f2 = (
+        np.abs(a) ** 2
+        + 2.0 * np.multiply.outer(mean_u, a.conj() * b).real
+        + np.multiply.outer(mean_u2, np.abs(b) ** 2)
+    )
+    # The expanded form can dip below 0 by roundoff where A + B u_m cancels,
+    # and the exact value is bounded by 1; clamp both.
+    return np.minimum(np.sqrt(np.maximum(f2, 0.0)), 1.0)
 
 
-def _fidelity_direct(ch: HolonomicChannel, state: InputState) -> float:
-    """F(psi) from the full 3x3 Kraus matrices; valid for arbitrary errors."""
-    psi = state.ket(ch.dark, ch.bright)
-    target = ch.gate @ psi
-    overlaps = np.einsum("i,mij,j->m", target.conj(), ch.unitaries, psi)
-    f2 = float(np.sum(ch.weights * np.abs(overlaps) ** 2))
-    return min(math.sqrt(f2), 1.0)
-
-
-def state_fidelity(ch: HolonomicChannel, s: InputState, method: str = "auto") -> float:
+def state_fidelity(ch: HolonomicChannel, s: InputState) -> float | np.ndarray:
     """Fidelity of the channel output against the ideal gate for one input state.
 
-    ``method`` is "auto" (closed form when the channel is symmetric, direct
-    otherwise), "analytic" or "direct".  The closed form is undefined for
-    asymmetric errors and raises if forced there.
+    A float for a scalar-gamma channel, one value per gamma otherwise.
     """
-    if method == "auto":
-        method = "analytic" if ch.symmetric else "direct"
-    if method == "analytic":
-        if not ch.symmetric:
-            raise ValueError(
-                "the closed-form fidelity requires the errored bright/dark pair "
-                "to coincide with the ideal one; use method='direct'"
-            )
-        return float(_fidelity_closed_form(ch, np.asarray(s.vartheta))[()])
-    if method == "direct":
-        return _fidelity_direct(ch, s)
-    raise ValueError(f"unknown fidelity method {method!r}")
+    values = _fidelity(ch, np.asarray(s.vartheta), s.xi)
+    return float(values) if values.ndim == 0 else values
 
 
 def vartheta_grid(n_states: int) -> np.ndarray:
@@ -186,30 +169,26 @@ def vartheta_grid(n_states: int) -> np.ndarray:
     return np.arange(n_states) * (math.pi / (n_states - 1))
 
 
-def fidelity_curve(
-    ch: HolonomicChannel, n_states: int = 30, method: str = "auto"
-) -> tuple[np.ndarray, np.ndarray]:
-    """(vartheta_k, F(vartheta_k)) over the equidistant input-state grid (xi = 0)."""
+def fidelity_curve(ch: HolonomicChannel, n_states: int = 30) -> tuple[np.ndarray, np.ndarray]:
+    """(vartheta_k, F(vartheta_k)) over the equidistant input-state grid (xi = 0).
+
+    For a gamma-array channel the values have shape (len(gamma), n_states).
+    """
     varthetas = vartheta_grid(n_states)
-    if method == "auto":
-        method = "analytic" if ch.symmetric else "direct"
-    if method == "analytic":
-        if not ch.symmetric:
-            raise ValueError("closed-form fidelity requires symmetric errors")
-        return varthetas, _fidelity_closed_form(ch, varthetas)
-    values = np.array([_fidelity_direct(ch, InputState(float(v))) for v in varthetas])
-    return varthetas, values
+    return varthetas, _fidelity(ch, varthetas)
 
 
-def average_fidelity(ch: HolonomicChannel, n_states: int = 30, method: str = "auto") -> float:
+def average_fidelity(ch: HolonomicChannel, n_states: int = 30) -> float | np.ndarray:
     """sin-weighted average of F over n_states equidistant vartheta values.
 
-    The endpoint weights sin(0) and sin(pi) vanish analytically; they are
-    zeroed explicitly (float sin(pi) is ~1.2e-16) so the average over n points
+    A float for a scalar-gamma channel, one average per gamma otherwise.  The
+    endpoint weights sin(0) and sin(pi) vanish analytically; they are zeroed
+    explicitly (float sin(pi) is ~1.2e-16) so the average over n points
     equals the average over the n-2 interior points exactly.
     """
-    varthetas, values = fidelity_curve(ch, n_states, method)
+    varthetas, values = fidelity_curve(ch, n_states)
     weights = np.sin(varthetas)
     weights[0] = 0.0
     weights[-1] = 0.0
-    return float(np.dot(weights, values) / np.sum(weights))
+    averages = values @ weights / np.sum(weights)
+    return float(averages) if averages.ndim == 0 else averages

@@ -43,7 +43,6 @@ DEFAULTS = {
     "gamma_step_ns_inv": 0.05,
     "gamma_ns_inv": 0.0,
     "n_states": 30,
-    "workers": 1,
     "eps_kappa": None,
     "epsilon0": None,
     "epsilon1": None,
@@ -53,7 +52,7 @@ DEFAULTS = {
     "output": None,
 }
 
-_INT_KEYS = {"n_spins", "n_states", "workers"}
+_INT_KEYS = {"n_spins", "n_states"}
 _LIST_KEYS = {"eps_kappa"}
 _STR_KEYS = {"output"}
 
@@ -145,8 +144,6 @@ def build_sweep_config(opts: dict) -> SweepConfig:
             opts["gamma_start_ns_inv"], opts["gamma_stop_ns_inv"], opts["gamma_step_ns_inv"]
         ),
         n_states=opts["n_states"],
-        output_path=opts["output"],
-        workers=opts["workers"],
     )
 
 
@@ -208,13 +205,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="evaluate F_av on a gamma grid and write CSV")
     _add_physics_flags(p_sweep)
     p_sweep.add_argument("--output", dest="output", help="CSV output path (default sweep.csv)")
-    p_sweep.add_argument("--workers", type=int, dest="workers",
-                         help="parallel worker processes (default 1)")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_opt = sub.add_parser("optimize", help="locate the optimal coupling strength")
     _add_physics_flags(p_opt)
-    p_opt.add_argument("--workers", type=int, dest="workers")
     p_opt.set_defaults(func=cmd_optimize)
 
     p_fid = sub.add_parser("fidelity", help="single-point F(vartheta) table and F_av")
@@ -226,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep = sub.add_parser("reproduce", help="run a baked-in figure configuration")
     p_rep.add_argument("figure", choices=FIGURES)
     p_rep.add_argument("--out-dir", default=".", help="directory for the CSV output")
-    p_rep.add_argument("--workers", type=int, default=1)
     p_rep.set_defaults(func=cmd_reproduce)
 
     p_val = sub.add_parser("validate", help="brute-force cross-checks of the fast paths")
@@ -240,9 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_sweep(args) -> int:
     opts = gather_options(args)
-    cfg = build_sweep_config(opts)
-    result = run_sweep(cfg)
-    path = cfg.output_path or "sweep.csv"
+    result = run_sweep(build_sweep_config(opts))
+    path = opts["output"] or "sweep.csv"
     result.write_csv(path)
     print(f"wrote {path} ({result.gammas.size} grid points x {len(result.labels)} curves)")
     for opt in result.grid_optima:
@@ -283,7 +275,7 @@ def cmd_fidelity(args) -> int:
     gamma = opts["gamma_ns_inv"]
     ch = build_channel(params, settings[0], bath, gamma)
     eff = ch.effective
-    print(f"tau0_ns = {ch.tau0:.9f}   chi_rad = {ch.chi:.9f}")
+    print(f"tau0_ns = {ch.tau0:.9f}   chi_rad = {params.chi:.9f}")
     print(
         f"effective drive: omega'={eff.omega_p:.6f} ns^-1, delta'={eff.delta_p:.6f} ns^-1, "
         f"theta'={eff.theta_p:.6f} rad, phi'={eff.phi_p:.6f} rad"
@@ -299,7 +291,7 @@ def cmd_fidelity(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    report = reproduce(args.figure, out_dir=args.out_dir, workers=args.workers)
+    report = reproduce(args.figure, out_dir=args.out_dir)
     for line in report.lines:
         print(line)
     return 0 if report.passed else 1

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lambda_system import LambdaParams, bright_dark_states, wrap_phase
+from .lambda_system import LambdaParams, bright_dark_states, require_finite, wrap_phase
 
 __all__ = ["ErrorParams", "EffectiveParams", "apply_errors"]
 
@@ -34,6 +34,7 @@ class ErrorParams:
     kappa: float = 0.0
 
     def __post_init__(self):
+        require_finite(self, ("epsilon0", "epsilon1", "zeta0", "zeta1", "kappa"))
         for name in ("epsilon0", "epsilon1"):
             if not 1.0 + getattr(self, name) > 0.0:
                 raise ValueError(

@@ -38,6 +38,13 @@ TWO_PI = 2.0 * math.pi
 KET_E = np.array([0.0, 0.0, 1.0], dtype=complex)
 
 
+def require_finite(obj, names) -> None:
+    """Raise ValueError naming the first of ``obj``'s fields that is NaN or infinite."""
+    for name in names:
+        if not math.isfinite(getattr(obj, name)):
+            raise ValueError(f"{name} must be finite, got {getattr(obj, name)}")
+
+
 def wrap_phase(x: float) -> float:
     """Reduce an angle to [0, 2*pi); x % (2*pi) alone can round up to 2*pi."""
     out = x % TWO_PI
@@ -59,6 +66,7 @@ class LambdaParams:
     phi: float = 0.0
 
     def __post_init__(self):
+        require_finite(self, ("omega", "delta", "phi"))
         if not self.omega > 0.0:
             raise ValueError(f"Rabi amplitude omega must be positive, got {self.omega}")
         if not 0.0 <= self.theta <= math.pi:

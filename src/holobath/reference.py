@@ -1,10 +1,14 @@
 """Independent brute-force references used to validate the fast code paths.
 
-Nothing here reuses the closed-form propagator or the effective-parameter
-trigonometry: system Hamiltonians are assembled from the raw errored drive
+Nothing here reuses the survival-amplitude closed form or the fidelity
+kernel: system Hamiltonians are assembled from the raw errored drive
 amplitudes, bath weights from exact binomial coefficients, and everything is
 exponentiated densely via eigendecomposition.  Agreement with
 :mod:`holobath.channel` is therefore a genuine cross-check.
+
+The dense Kraus matrices sqrt(p_m) U_m (one 3x3 block propagator per bath
+level) are assembled here for validation only; the channel keeps just what
+its fidelity kernel needs, and the suite checks that kernel against them.
 
 The full system (x) bath evolution works in the collapsed occupation basis
 (dimension 3*(N+1), each level m carrying its binomial multiplicity as
@@ -228,10 +232,38 @@ def _random_case(rng: np.random.Generator, max_spins: int):
     return p, e, bath, gamma, state
 
 
+def kraus_unitaries(ch: HolonomicChannel) -> np.ndarray:
+    """Block propagators U_m of a scalar-gamma channel, shape (N+1, 3, 3)."""
+    if np.ndim(ch.gamma):
+        raise ValueError("dense Kraus matrices need a scalar-gamma channel")
+    shifts = ch.effective.delta_p + ch.gamma * ch.bath.occupations()
+    eff_params = ch.effective.as_params()
+    return np.stack([propagator(eff_params, float(shift), ch.tau0) for shift in shifts])
+
+
+def kraus_matrices(ch: HolonomicChannel) -> np.ndarray:
+    """Stacked Kraus operators sqrt(p_m) * U_m, shape (N+1, 3, 3)."""
+    return np.sqrt(ch.weights)[:, None, None] * kraus_unitaries(ch)
+
+
+def apply_kraus(kraus: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Channel action sum_m A_m rho A_m^dag on a 3x3 density matrix."""
+    return np.einsum("mij,jk,mlk->il", kraus, np.asarray(rho, dtype=complex), kraus.conj())
+
+
+def kraus_fidelity(ch: HolonomicChannel, kraus: np.ndarray, state: InputState) -> float:
+    """F(psi) = [sum_m |<G psi|A_m|psi>|^2]^(1/2) from the dense Kraus matrices of ch."""
+    psi = state.ket(ch.dark, ch.bright)
+    target = ch.gate @ psi
+    overlaps = np.einsum("i,mij,j->m", target.conj(), kraus, psi)
+    f2 = float(np.sum(np.abs(overlaps) ** 2))
+    return min(math.sqrt(f2), 1.0)
+
+
 def channel_output_state(ch: HolonomicChannel, state: InputState) -> np.ndarray:
     """Channel output density matrix for a pure input, via the Kraus ensemble."""
     ket = state.ket(ch.dark, ch.bright)
-    return ch.apply(np.outer(ket, ket.conj()))
+    return apply_kraus(kraus_matrices(ch), np.outer(ket, ket.conj()))
 
 
 def run_validation_suite(
@@ -240,8 +272,10 @@ def run_validation_suite(
     """Cross-check the fast paths against the brute-force references.
 
     Returns one :class:`CheckResult` per check; all must pass for the channel
-    construction, fidelity paths and cyclic-time formula to be trusted.
+    construction, fidelity kernel and cyclic-time formula to be trusted.
     """
+    if cases < 1:
+        raise ValueError(f"cases must be at least 1, got {cases}")
     max_spins = min(max_spins, BRUTE_FORCE_MAX_COLLAPSED)
     rng = np.random.default_rng(seed)
 
@@ -252,24 +286,19 @@ def run_validation_suite(
     for _ in range(cases):
         p, e, bath, gamma, state = _random_case(rng, max_spins)
         ch = build_channel(p, e, bath, gamma)
-        rho_fast = channel_output_state(ch, state)
+        kraus = kraus_matrices(ch)
+        ket = state.ket(ch.dark, ch.bright)
+        rho_fast = apply_kraus(kraus, np.outer(ket, ket.conj()))
         rho_exact = full_evolution(p, e, bath, gamma, state)
         worst_channel = max(worst_channel, trace_distance(rho_fast, rho_exact))
 
-        kraus = ch.kraus_matrices()
         identity = np.eye(3)
         completeness = np.einsum("mji,mjk->ik", kraus.conj(), kraus)
         unitality = np.einsum("mij,mkj->ik", kraus, kraus.conj())
         worst_complete = max(worst_complete, np.max(np.abs(completeness - identity)))
         worst_unital = max(worst_unital, np.max(np.abs(unitality - identity)))
 
-        # Closed-form fidelity against the matrix path on a symmetrized copy.
-        e_sym = ErrorParams.symmetric(e.epsilon0, kappa=e.kappa)
-        ch_sym = build_channel(p, e_sym, bath, gamma)
-        diff = abs(
-            state_fidelity(ch_sym, state, method="analytic")
-            - state_fidelity(ch_sym, state, method="direct")
-        )
+        diff = abs(state_fidelity(ch, state) - kraus_fidelity(ch, kraus, state))
         worst_fidelity = max(worst_fidelity, diff)
 
     worst_collapse = 0.0
@@ -304,7 +333,7 @@ def run_validation_suite(
         CheckResult("multiplicity collapse, product vs occupation basis", worst_collapse, 1e-10),
         CheckResult("Kraus completeness", worst_complete, 1e-12),
         CheckResult("Kraus unitality", worst_unital, 1e-12),
-        CheckResult("closed-form vs direct fidelity (symmetric errors)", worst_fidelity, 1e-12),
+        CheckResult("fidelity kernel vs dense Kraus fidelity", worst_fidelity, 1e-12),
         CheckResult("closed-form propagator vs dense exponential", worst_propagator, 1e-10),
         CheckResult("cyclic-time search vs 2*pi/delta0", worst_cyclic, 1e-9),
     ]

@@ -13,6 +13,8 @@ accumulated in log space so binomial coefficients never overflow.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,8 +55,12 @@ class SpinBath:
     temperature_k: float | None = None
 
     def __post_init__(self):
-        if not (isinstance(self.n_spins, int) and self.n_spins >= 1):
-            raise ValueError(f"n_spins must be a positive integer, got {self.n_spins}")
+        n_spins = self.n_spins
+        if isinstance(n_spins, bool) or not hasattr(type(n_spins), "__index__") or n_spins < 1:
+            raise ValueError(f"n_spins must be a positive integer, got {n_spins!r}")
+        object.__setattr__(self, "n_spins", operator.index(n_spins))
+        if not (math.isfinite(self.alpha) and self.alpha > 0.0):
+            raise ValueError(f"level splitting alpha must be positive and finite, got {self.alpha}")
         if not self.beta >= 0.0:
             raise ValueError(f"beta must be non-negative, got {self.beta}")
 
@@ -85,7 +91,10 @@ class SpinBath:
         n = self.n_spins
         m = np.arange(n + 1, dtype=float)
         log_binom = gammaln(n + 1.0) - gammaln(m + 1.0) - gammaln(n - m + 1.0)
-        return log_binom - self.beta_alpha * m
+        # Level m = 0 carries no Boltzmann factor; skipping it keeps beta = inf
+        # (T -> 0) at the ground state [1, 0, ..., 0] instead of 0*inf = NaN.
+        log_binom[1:] -= self.beta_alpha * m[1:]
+        return log_binom
 
     def log_partition(self) -> float:
         """log Z with Z = sum_m C(N, m) e^{-beta*alpha*m}."""

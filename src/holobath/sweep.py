@@ -1,11 +1,10 @@
 """Coupling-strength sweeps, optimum location, CSV emission, figure reproduction.
 
 A sweep evaluates the sin-weighted average fidelity on a gamma grid for one or
-more error settings, building each channel exactly once per (grid point,
-setting) and reusing it across the whole input-state average.  Grid points are
-independent, so they can be farmed out to a process pool; results are
-reassembled in grid order and formatted to 12 significant digits, which makes
-the emitted CSV byte-identical regardless of worker count.
+more error settings.  Each setting gets one channel over the whole grid, so
+the thermal weights are computed once and the fidelity kernel runs once per
+curve; values are formatted to 12 significant digits, which makes the emitted
+CSV byte-identical for identical configurations.
 
 Two optima matter for a fidelity curve: the refined global maximum (which sits
 at gamma = 0 whenever the bath cannot beat the bare errored gate) and the best
@@ -15,7 +14,7 @@ tune to.  Both are reported.
 
 from __future__ import annotations
 
-import concurrent.futures
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -25,7 +24,7 @@ import numpy as np
 from . import __version__
 from .channel import average_fidelity, build_channel
 from .error_model import ErrorParams
-from .lambda_system import LambdaParams
+from .lambda_system import LambdaParams, require_finite
 from .spin_bath import SpinBath
 
 __all__ = [
@@ -57,6 +56,7 @@ class GammaGrid:
     step: float
 
     def __post_init__(self):
+        require_finite(self, ("start", "stop", "step"))
         if not self.step > 0.0:
             raise ValueError(f"gamma grid step must be positive, got {self.step}")
         if self.stop < self.start:
@@ -78,8 +78,6 @@ class SweepConfig:
     bath: SpinBath
     grid: GammaGrid
     n_states: int = 30
-    output_path: str | None = None
-    workers: int = 1
 
     def __post_init__(self):
         if isinstance(self.error_settings, ErrorParams):
@@ -88,8 +86,6 @@ class SweepConfig:
             raise ValueError("at least one error setting is required")
         if self.n_states < 3:
             raise ValueError(f"n_states must be at least 3, got {self.n_states}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be at least 1, got {self.workers}")
 
     def labels(self) -> list[str]:
         return [_setting_label(e, i) for i, e in enumerate(self.error_settings)]
@@ -122,9 +118,6 @@ class SweepResult:
     curves: np.ndarray  # shape (n_settings, n_gammas)
     labels: tuple[str, ...]
     grid_optima: tuple[CurveOptimum, ...]
-
-    def curve(self, label: str) -> np.ndarray:
-        return self.curves[self.labels.index(label)]
 
     def metadata_lines(self) -> list[str]:
         cfg = self.config
@@ -181,31 +174,20 @@ def _write_text(path, text: str) -> None:
         raise OSError(f"cannot write CSV to {path!s}: {exc}") from exc
 
 
-def _f_av_point(task) -> float:
-    params, errors, bath, gamma, n_states = task
-    ch = build_channel(params, errors, bath, float(gamma))
-    return average_fidelity(ch, n_states)
+def _f_av(cfg: SweepConfig, errors: ErrorParams, gamma):
+    """F_av for one error setting at a scalar gamma or over a gamma array."""
+    return average_fidelity(build_channel(cfg.params, errors, cfg.bath, gamma), cfg.n_states)
 
 
 def run_sweep(cfg: SweepConfig) -> SweepResult:
     """Evaluate F_av on the grid for every error setting.
 
-    Builds exactly one channel per (grid point, error setting); the result is
-    deterministic and independent of the worker count.
+    Builds exactly one channel per error setting, spanning the whole grid;
+    the result is deterministic.
     """
     gammas = cfg.grid.values()
     labels = cfg.labels()
-    tasks = [
-        (cfg.params, errors, cfg.bath, gamma, cfg.n_states)
-        for errors in cfg.error_settings
-        for gamma in gammas
-    ]
-    if cfg.workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            flat = list(pool.map(_f_av_point, tasks, chunksize=8))
-    else:
-        flat = [_f_av_point(task) for task in tasks]
-    curves = np.array(flat).reshape(len(cfg.error_settings), gammas.size)
+    curves = np.array([_f_av(cfg, errors, gammas) for errors in cfg.error_settings])
 
     optima = []
     for label, values in zip(labels, curves):
@@ -304,7 +286,7 @@ def optimize_gamma(cfg: SweepConfig, result: SweepResult | None = None) -> list[
         result = run_sweep(cfg)
     out = []
     for errors, label, values in zip(cfg.error_settings, result.labels, result.curves):
-        f = lambda g, e=errors: _f_av_point((cfg.params, e, cfg.bath, g, cfg.n_states))
+        f = functools.partial(_f_av, cfg, errors)
         out.append(refine_global_optimum(f, result.gammas, values, label))
     return out
 
@@ -341,14 +323,13 @@ class ReproduceReport:
 
 
 def _figure_config(n_spins: int, temperature_k: float,
-                   errors: tuple[ErrorParams, ...], workers: int) -> SweepConfig:
+                   errors: tuple[ErrorParams, ...]) -> SweepConfig:
     return SweepConfig(
         params=FIGURE_PARAMS,
         error_settings=errors,
         bath=SpinBath.from_temperature(n_spins, FIGURE_ALPHA_NS_INV, temperature_k),
         grid=FIGURE_GRID,
         n_states=30,
-        workers=workers,
     )
 
 
@@ -377,7 +358,7 @@ def _optima_csv(rows: list[dict]) -> str:
 def _locate_optima(cfg: SweepConfig, result: SweepResult) -> list[dict]:
     rows = []
     for errors, label, values in zip(cfg.error_settings, result.labels, result.curves):
-        f = lambda g, e=errors: _f_av_point((cfg.params, e, cfg.bath, g, cfg.n_states))
+        f = functools.partial(_f_av, cfg, errors)
         rows.append(
             {
                 "curve": label,
@@ -393,7 +374,7 @@ def _check(lines: list[str], ok: bool, text: str) -> bool:
     return ok
 
 
-def reproduce(figure: str, out_dir: str = ".", workers: int = 1) -> ReproduceReport:
+def reproduce(figure: str, out_dir: str = ".") -> ReproduceReport:
     """Run one baked-in figure configuration end to end.
 
     Writes the sweep CSV plus a summary CSV of optima into ``out_dir`` and
@@ -410,7 +391,7 @@ def reproduce(figure: str, out_dir: str = ".", workers: int = 1) -> ReproduceRep
 
     if figure in ("fig1_left", "fig1_right"):
         temperature = 50.0 if figure == "fig1_left" else 300.0
-        cfg = _figure_config(20, temperature, FIGURE_ERRORS, workers)
+        cfg = _figure_config(20, temperature, FIGURE_ERRORS)
         result = run_sweep(cfg)
         result.write_csv(csv_path)
         rows = _locate_optima(cfg, result)
@@ -488,7 +469,7 @@ def reproduce(figure: str, out_dir: str = ".", workers: int = 1) -> ReproduceRep
         gammas = FIGURE_GRID.values()
         meta = None
         for n_spins in spins:
-            cfg = _figure_config(n_spins, 50.0, errors, workers)
+            cfg = _figure_config(n_spins, 50.0, errors)
             result = run_sweep(cfg)
             curves.append(result.curves[0])
             label = f"N{n_spins}"

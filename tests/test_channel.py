@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from holobath.channel import (
     InputState,
+    _fidelity,
     average_fidelity,
     build_channel,
     fidelity_curve,
@@ -15,17 +16,47 @@ from holobath.channel import (
 )
 from holobath.error_model import ErrorParams
 from holobath.lambda_system import LambdaParams, ideal_gate
-from holobath.spin_bath import SpinBath
+from holobath.reference import apply_kraus, kraus_fidelity, kraus_matrices, kraus_unitaries
+from holobath.spin_bath import SpinBath, thermal_weights
 
 
 def completeness_defect(ch):
-    kraus = ch.kraus_matrices()
+    kraus = kraus_matrices(ch)
     return np.max(np.abs(np.einsum("mji,mjk->ik", kraus.conj(), kraus) - np.eye(3)))
 
 
 def unitality_defect(ch):
-    kraus = ch.kraus_matrices()
+    kraus = kraus_matrices(ch)
     return np.max(np.abs(np.einsum("mij,mkj->ik", kraus, kraus.conj()) - np.eye(3)))
+
+
+def dense_fidelity(ch, state):
+    return kraus_fidelity(ch, kraus_matrices(ch), state)
+
+
+@st.composite
+def channel_cases(draw):
+    """Arbitrary errors, drive, bath, gamma and input state (vartheta, xi)."""
+    p = LambdaParams(
+        omega=draw(st.floats(0.2, 5.0)),
+        delta=draw(st.floats(-5.0, 5.0)),
+        theta=draw(st.floats(0.0, math.pi)),
+        phi=draw(st.floats(0.0, 2.0 * math.pi)),
+    )
+    e = ErrorParams(
+        epsilon0=draw(st.floats(-0.3, 0.3)),
+        epsilon1=draw(st.floats(-0.3, 0.3)),
+        zeta0=draw(st.floats(-math.pi, math.pi)),
+        zeta1=draw(st.floats(-math.pi, math.pi)),
+        kappa=draw(st.floats(-0.3, 0.3)),
+    )
+    alpha = draw(st.floats(0.1, 50.0))
+    bath = SpinBath(
+        n_spins=draw(st.integers(1, 8)), alpha=alpha, beta=draw(st.floats(0.0, 5.0)) / alpha
+    )
+    gamma = draw(st.floats(0.0, 8.0))
+    state = InputState(draw(st.floats(0.0, math.pi)), draw(st.floats(0.0, 2.0 * math.pi)))
+    return p, e, bath, gamma, state
 
 
 class TestInputState:
@@ -37,6 +68,11 @@ class TestInputState:
 
     def test_xi_wraps(self):
         assert 0.0 <= InputState(1.0, xi=-2.0).xi < 2.0 * math.pi
+
+    @pytest.mark.parametrize("xi", [math.nan, math.inf])
+    def test_rejects_non_finite_xi(self, xi):
+        with pytest.raises(ValueError, match="xi"):
+            InputState(1.0, xi)
 
     def test_ket_is_normalized(self):
         p = LambdaParams(omega=1.0, delta=2.0, theta=1.1, phi=0.4)
@@ -51,17 +87,19 @@ class TestBuildChannel:
     def test_zero_error_zero_coupling_is_the_ideal_gate(self, params, bath50):
         ch = build_channel(params, ErrorParams(), bath50, 0.0)
         gate = ideal_gate(params)
-        for _, unitary in ch.kraus_ops:
+        for unitary in kraus_unitaries(ch):
             np.testing.assert_allclose(unitary, gate, atol=1e-12)
 
     def test_zero_coupling_factors_are_identical(self, params, bath50):
         ch = build_channel(params, ErrorParams.symmetric(0.17), bath50, 0.0)
-        for _, unitary in ch.kraus_ops:
-            np.testing.assert_allclose(unitary, ch.unitaries[0], atol=0.0, rtol=0.0)
+        unitaries = kraus_unitaries(ch)
+        for unitary in unitaries:
+            np.testing.assert_allclose(unitary, unitaries[0], atol=0.0, rtol=0.0)
 
     def test_kraus_count_and_weights(self, params, bath50, symmetric_errors):
         ch = build_channel(params, symmetric_errors, bath50, 2.8)
-        assert len(ch.kraus_ops) == bath50.n_spins + 1
+        assert len(kraus_matrices(ch)) == bath50.n_spins + 1
+        assert ch.survival.shape == (bath50.n_spins + 1,)
         assert ch.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_uses_ideal_cyclic_time(self, params, bath50):
@@ -75,7 +113,7 @@ class TestBuildChannel:
         assert ch.weights[0] == pytest.approx(1.0, abs=1e-12)
         # the channel then acts as a single unitary: pure outputs
         ket = InputState(1.1, 0.3).ket(ch.dark, ch.bright)
-        rho = ch.apply(np.outer(ket, ket.conj()))
+        rho = apply_kraus(kraus_matrices(ch), np.outer(ket, ket.conj()))
         purity = float(np.trace(rho @ rho).real)
         assert purity == pytest.approx(1.0, abs=1e-10)
 
@@ -92,16 +130,35 @@ class TestBuildChannel:
     def test_apply_preserves_trace_and_hermiticity(self, params, bath50, symmetric_errors):
         ch = build_channel(params, symmetric_errors, bath50, 2.8)
         ket = InputState(2.0, 0.9).ket(ch.dark, ch.bright)
-        rho = ch.apply(np.outer(ket, ket.conj()))
+        rho = apply_kraus(kraus_matrices(ch), np.outer(ket, ket.conj()))
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(rho, rho.conj().T, atol=1e-13)
 
-    def test_symmetric_flag(self, params, bath50):
-        assert build_channel(params, ErrorParams.symmetric(0.1), bath50, 1.0).symmetric
-        assert not build_channel(params, ErrorParams(epsilon0=0.1), bath50, 1.0).symmetric
-        # single active pulse: any error leaves the bright/dark pair alone
-        edge = LambdaParams(omega=1.0, delta=2.0, theta=math.pi)
-        assert build_channel(edge, ErrorParams(epsilon0=0.1), bath50, 1.0).symmetric
+    def test_zero_temperature_limit_is_the_ground_state(self, params, symmetric_errors):
+        # beta = inf is the T -> 0 limit, not 0*inf = NaN
+        frozen = SpinBath(n_spins=20, alpha=15.0e3, beta=math.inf)
+        cold = SpinBath(n_spins=20, alpha=15.0e3, beta=1e3 / 15.0e3)
+        np.testing.assert_array_equal(thermal_weights(frozen), [1.0] + [0.0] * 20)
+        for gamma in (0.0, 2.8):
+            ch_frozen = build_channel(params, symmetric_errors, frozen, gamma)
+            ch_cold = build_channel(params, symmetric_errors, cold, gamma)
+            assert abs(average_fidelity(ch_frozen) - average_fidelity(ch_cold)) < 1e-12
+            state = InputState(1.9, 0.4)
+            assert abs(state_fidelity(ch_frozen, state) - state_fidelity(ch_cold, state)) < 1e-12
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf, [0.0, math.nan]])
+    def test_rejects_non_finite_gamma(self, params, bath50, gamma):
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            build_channel(params, ErrorParams(), bath50, gamma)
+
+    def test_rejects_gamma_matrix(self, params, bath50):
+        with pytest.raises(ValueError, match="1-D"):
+            build_channel(params, ErrorParams(), bath50, np.zeros((2, 2)))
+
+    def test_dense_kraus_matrices_need_a_scalar_gamma(self, params, bath50):
+        ch = build_channel(params, ErrorParams(), bath50, np.zeros(bath50.n_spins + 1))
+        with pytest.raises(ValueError, match="scalar-gamma"):
+            kraus_matrices(ch)
 
 
 class TestStateFidelity:
@@ -120,51 +177,72 @@ class TestStateFidelity:
         assert state_fidelity(ch, InputState(0.0)) == pytest.approx(1.0, abs=1e-12)
 
     def test_analytic_and_direct_paths_agree(self, params, bath50):
+        # the closed-form kernel against the dense Kraus fidelity of reference
         ch = build_channel(params, ErrorParams.symmetric(0.1), bath50, 0.0)
         bright = InputState(math.pi)
-        assert abs(
-            state_fidelity(ch, bright, method="analytic")
-            - state_fidelity(ch, bright, method="direct")
-        ) < 1e-12
+        assert abs(state_fidelity(ch, bright) - dense_fidelity(ch, bright)) < 1e-12
         for vartheta in np.linspace(0.0, math.pi, 11):
             s = InputState(float(vartheta))
-            assert abs(
-                state_fidelity(ch, s, method="analytic")
-                - state_fidelity(ch, s, method="direct")
-            ) < 1e-12
+            assert abs(state_fidelity(ch, s) - dense_fidelity(ch, s)) < 1e-12
 
     def test_xi_independence_of_the_direct_path(self, params, bath50):
-        # the closed form drops xi by construction; the matrix path must too
+        # symmetric errors leave F independent of xi, in the dense Kraus
+        # fidelity and in the kernel alike
         ch = build_channel(params, ErrorParams.symmetric(0.15), bath50, 2.8)
         for vartheta in (0.4, 1.2, 2.7):
-            reference = state_fidelity(ch, InputState(vartheta, 0.0), method="direct")
-            worst = max(
-                abs(state_fidelity(ch, InputState(vartheta, xi), method="direct") - reference)
-                for xi in np.linspace(0.0, 2.0 * math.pi, 13)
-            )
-            assert worst < 1e-12
+            reference = dense_fidelity(ch, InputState(vartheta, 0.0))
+            for xi in np.linspace(0.0, 2.0 * math.pi, 13):
+                state = InputState(vartheta, xi)
+                assert abs(dense_fidelity(ch, state) - reference) < 1e-12
+                assert abs(state_fidelity(ch, state) - reference) < 1e-12
 
-    def test_asymmetric_errors_fall_back_to_direct(self, params, bath50):
-        ch = build_channel(params, ErrorParams(epsilon0=0.2, zeta0=0.4), bath50, 1.0)
-        assert not ch.symmetric
-        value = state_fidelity(ch, InputState(1.0, 0.7))  # auto -> direct
-        assert 0.0 <= value <= 1.0
-        with pytest.raises(ValueError, match="direct"):
-            state_fidelity(ch, InputState(1.0), method="analytic")
+    def test_exact_cancellation_is_zero_not_nan(self):
+        # omega' = 2 omega at delta = 0 returns the bright state with sign +1
+        # (u_m = 1), so at vartheta = pi/2 the output is orthogonal to G psi;
+        # the expanded F^2 can then land a roundoff below 0.
+        p = LambdaParams(omega=1.0, delta=0.0, theta=1.5, phi=5.5)
+        ch = build_channel(p, ErrorParams.symmetric(1.0), SpinBath(2, 1.0, 1.0), 0.0)
+        values = _fidelity(ch, np.linspace(0.0, math.pi, 9), 5.5)
+        assert np.all(np.isfinite(values))
+        assert values[4] < 1e-7
 
-    def test_unknown_method_rejected(self, params, bath50):
-        ch = build_channel(params, ErrorParams(), bath50, 0.0)
-        with pytest.raises(ValueError, match="method"):
-            state_fidelity(ch, InputState(1.0), method="magic")
+    @given(case=channel_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_kernel_matches_dense_kraus_fidelity(self, case):
+        p, e, bath, gamma, state = case
+        ch = build_channel(p, e, bath, gamma)
+        assert abs(state_fidelity(ch, state) - dense_fidelity(ch, state)) < 1e-12
 
-    @given(vartheta=st.floats(0.0, math.pi), gamma=st.floats(0.0, 8.0))
+    @given(case=channel_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_bounded(self, case):
+        p, e, bath, gamma, state = case
+        ch = build_channel(p, e, bath, gamma)
+        value = state_fidelity(ch, state)
+        assert 0.0 <= value <= 1.0  # also false for NaN
+        _, curve = fidelity_curve(ch, 7)
+        assert np.all((curve >= 0.0) & (curve <= 1.0))
+
+    @given(case=channel_cases(), shift=st.floats(-math.pi, math.pi))
     @settings(max_examples=100, deadline=None)
-    def test_bounded(self, vartheta, gamma):
-        params = LambdaParams(omega=1.0, delta=2.0)
-        bath = SpinBath(n_spins=6, alpha=1.0, beta=0.5)
-        ch = build_channel(params, ErrorParams.symmetric(0.2), bath, gamma)
-        value = state_fidelity(ch, InputState(vartheta))
-        assert 0.0 <= value <= 1.0
+    def test_common_drive_phase_drops_out(self, case, shift):
+        p, e, bath, gamma, state = case
+        shifted = ErrorParams(e.epsilon0, e.epsilon1, e.zeta0 + shift, e.zeta1 + shift, e.kappa)
+        value = state_fidelity(build_channel(p, e, bath, gamma), state)
+        assert abs(state_fidelity(build_channel(p, shifted, bath, gamma), state) - value) < 1e-12
+
+    @given(case=channel_cases(), gammas=st.lists(st.floats(0.0, 8.0), min_size=1, max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_gamma_array_matches_scalar_channels(self, case, gammas):
+        p, e, bath, _, state = case
+        ch = build_channel(p, e, bath, np.array(gammas))
+        states = state_fidelity(ch, state)
+        averages = average_fidelity(ch, 9)
+        assert states.shape == averages.shape == (len(gammas),)
+        for gamma, value, average in zip(gammas, states, averages):
+            single = build_channel(p, e, bath, gamma)
+            assert abs(value - state_fidelity(single, state)) < 1e-14
+            assert abs(average - average_fidelity(single, 9)) < 1e-14
 
 
 class TestAverageFidelity:
@@ -207,8 +285,12 @@ class TestAverageFidelity:
         assert average_fidelity(ch, 30) == pytest.approx(0.974333639507, abs=1e-9)
 
     def test_direct_method_agrees_with_analytic(self, params, bath50):
+        # the kernel average against the same sin-weighted average of the
+        # dense Kraus fidelity
         ch = build_channel(params, ErrorParams.symmetric(0.15), bath50, 1.7)
-        assert abs(
-            average_fidelity(ch, 30, method="analytic")
-            - average_fidelity(ch, 30, method="direct")
-        ) < 1e-12
+        varthetas = vartheta_grid(30)
+        kraus = kraus_matrices(ch)
+        dense = np.array([kraus_fidelity(ch, kraus, InputState(float(v))) for v in varthetas])
+        weights = np.sin(varthetas)
+        weights[0] = weights[-1] = 0.0
+        assert abs(average_fidelity(ch, 30) - np.dot(weights, dense) / weights.sum()) < 1e-12

@@ -196,6 +196,16 @@ class TestValidateCommand:
         assert "[FAIL]" not in out
 
 
+    @pytest.mark.parametrize("cases", ["0", "-3"])
+    def test_rejects_empty_suite(self, capsys, cases):
+        # zero cases would print [PASS] for checks that checked nothing
+        code = run_cli(["validate", "--cases", cases])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "[PASS]" not in captured.out
+        assert "error:" in captured.err and "cases" in captured.err
+
+
 class TestReproduceCommand:
     def test_fig1_left(self, tmp_path, capsys):
         code = run_cli(["reproduce", "fig1_left", "--out-dir", str(tmp_path)])

@@ -32,6 +32,12 @@ class TestErrorParams:
         with pytest.raises(ValueError, match="epsilon1"):
             ErrorParams(epsilon1=-1.5)
 
+    @pytest.mark.parametrize("field", ["epsilon0", "epsilon1", "zeta0", "zeta1", "kappa"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_fields(self, field, bad):
+        with pytest.raises(ValueError, match=field):
+            ErrorParams(**{field: bad})
+
     def test_symmetric_constructor_defaults_kappa(self):
         e = ErrorParams.symmetric(0.15)
         assert e.epsilon0 == e.epsilon1 == e.kappa == 0.15

@@ -44,6 +44,14 @@ class TestLambdaParams:
         with pytest.raises(ValueError, match="theta"):
             LambdaParams(omega=1.0, delta=0.0, theta=math.pi + 0.1)
 
+    @pytest.mark.parametrize("field", ["omega", "delta", "theta", "phi"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_fields(self, field, bad):
+        values = dict(omega=1.0, delta=2.0, theta=1.0, phi=0.5)
+        values[field] = bad
+        with pytest.raises(ValueError, match=field):
+            LambdaParams(**values)
+
     def test_phi_normalized_to_principal_range(self):
         p = LambdaParams(omega=1.0, delta=0.0, phi=-0.5)
         assert 0.0 <= p.phi < 2.0 * math.pi

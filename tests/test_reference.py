@@ -16,6 +16,7 @@ from holobath.reference import (
     expm_hermitian,
     find_cyclic_time,
     full_evolution,
+    kraus_unitaries,
     partial_trace_bath,
     raw_error_hamiltonian,
     run_validation_suite,
@@ -89,7 +90,7 @@ class TestFullEvolution:
         small = SpinBath(n_spins=6, alpha=bath50.alpha, beta=bath50.beta)
         rho = full_evolution(params, errors, small, 0.0, state)
         ch = build_channel(params, errors, small, 0.0)
-        ket = ch.unitaries[0] @ state.ket(ch.dark, ch.bright)
+        ket = kraus_unitaries(ch)[0] @ state.ket(ch.dark, ch.bright)
         np.testing.assert_allclose(rho, np.outer(ket, ket.conj()), atol=1e-12)
 
     def test_density_matrix_properties(self, params):

@@ -49,6 +49,26 @@ class TestValidation:
         with pytest.raises(ValueError, match="beta"):
             SpinBath(n_spins=2, alpha=1.0, beta=-0.1)
 
+    @pytest.mark.parametrize("n_spins", [5, np.int64(5), np.int32(5), np.uint8(5)])
+    def test_accepts_any_integral_spin_count(self, n_spins):
+        bath = SpinBath(n_spins=n_spins, alpha=1.0, beta=1.0)
+        assert bath.n_spins == 5 and type(bath.n_spins) is int
+        assert thermal_weights(bath).size == 6
+
+    @pytest.mark.parametrize("n_spins", [True, False, np.bool_(True), 5.0, np.float64(5.0), "5"])
+    def test_rejects_non_integral_spin_count(self, n_spins):
+        with pytest.raises(ValueError, match="n_spins"):
+            SpinBath(n_spins=n_spins, alpha=1.0, beta=1.0)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_bad_alpha(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            SpinBath(n_spins=2, alpha=alpha, beta=1.0)
+
+    def test_rejects_nan_beta(self):
+        with pytest.raises(ValueError, match="beta"):
+            SpinBath(n_spins=2, alpha=1.0, beta=math.nan)
+
 
 class TestSpectrum:
     def test_occupations_and_energies(self):
@@ -67,6 +87,12 @@ class TestThermalWeights:
         bath = SpinBath(n_spins=6, alpha=5.0, beta=0.0)
         expected = np.array([math.comb(6, m) for m in range(7)]) / 2.0**6
         np.testing.assert_allclose(thermal_weights(bath), expected, atol=1e-15)
+
+    def test_infinite_beta_is_the_ground_state(self):
+        bath = SpinBath(n_spins=10, alpha=1.0, beta=math.inf)
+        np.testing.assert_array_equal(thermal_weights(bath), [1.0] + [0.0] * 10)
+        assert bath.log_partition() == 0.0
+        assert bath.mean_occupation() == 0.0
 
     def test_zero_temperature_limit(self):
         bath = SpinBath(n_spins=10, alpha=1.0, beta=1e4)

@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 
 import numpy as np
 import pytest
@@ -50,6 +51,14 @@ class TestGammaGrid:
             GammaGrid(0.0, 1.0, -0.1)
         with pytest.raises(ValueError, match="empty"):
             GammaGrid(2.0, 1.0, 0.1)
+
+    @pytest.mark.parametrize("field", ["start", "stop", "step"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_fields(self, field, bad):
+        values = dict(start=0.0, stop=1.0, step=0.5)
+        values[field] = bad
+        with pytest.raises(ValueError, match=field):
+            GammaGrid(**values)
 
 
 class TestSweepConfig:
@@ -109,20 +118,13 @@ class TestRunSweep:
             error_settings=(ErrorParams.symmetric(0.1), ErrorParams.symmetric(0.2)),
         )
         run_sweep(cfg)
-        assert calls["n"] == 5 * 2
+        assert calls["n"] == 2  # one channel per setting spans the 5 grid points
 
     def test_deterministic_csv(self):
         cfg = small_config(grid=GammaGrid(0.0, 2.0, 0.5))
         first = run_sweep(cfg).to_csv_text()
         second = run_sweep(cfg).to_csv_text()
         assert first == second
-
-    def test_worker_count_does_not_change_bytes(self):
-        serial = run_sweep(small_config(grid=GammaGrid(0.0, 1.5, 0.5))).to_csv_text()
-        parallel = run_sweep(
-            small_config(grid=GammaGrid(0.0, 1.5, 0.5), workers=2)
-        ).to_csv_text()
-        assert serial == parallel
 
     def test_csv_schema(self, tmp_path):
         cfg = small_config(
@@ -206,9 +208,7 @@ class TestOptimumLocation:
         # unimodality cross-check: dense-grid argmax as the oracle
         cfg = small_config(grid=GammaGrid(0.0, 8.0, 0.1))
         (opt,) = optimize_gamma(cfg)
-        f = lambda g: sweep_mod._f_av_point(
-            (cfg.params, cfg.error_settings[0], cfg.bath, g, cfg.n_states)
-        )
+        f = lambda g: sweep_mod._f_av(cfg, cfg.error_settings[0], g)
         dense = np.arange(opt.gamma_star - 0.25, opt.gamma_star + 0.25, 1e-3)
         values = [f(g) for g in dense]
         assert opt.gamma_star == pytest.approx(dense[int(np.argmax(values))], abs=1e-3)
@@ -221,9 +221,7 @@ class TestOptimumLocation:
             error_settings=(ErrorParams.symmetric(0.1),), grid=GammaGrid(0.0, 8.0, 0.1)
         )
         result = run_sweep(cfg)
-        f = lambda g: sweep_mod._f_av_point(
-            (cfg.params, cfg.error_settings[0], cfg.bath, g, cfg.n_states)
-        )
+        f = lambda g: sweep_mod._f_av(cfg, cfg.error_settings[0], g)
         global_opt = refine_global_optimum(f, result.gammas, result.curves[0], "eps_0.1")
         assert global_opt.on_boundary and global_opt.gamma_star == 0.0
         interior = refine_interior_optimum(f, result.gammas, result.curves[0], "eps_0.1")
