@@ -22,11 +22,9 @@ from .channel import (
 )
 from .error_model import EffectiveParams, ErrorParams, apply_errors
 from .lambda_system import (
-    DiagonalizationParams,
     LambdaParams,
     bright_dark_states,
     bright_survival_amplitude,
-    diagonalization_params,
     ideal_gate,
     propagator,
     sub_hamiltonian,
@@ -57,12 +55,10 @@ from .sweep import (
 __all__ = [
     "__version__",
     "LambdaParams",
-    "DiagonalizationParams",
     "bright_dark_states",
     "sub_hamiltonian",
     "propagator",
     "bright_survival_amplitude",
-    "diagonalization_params",
     "ideal_gate",
     "ErrorParams",
     "EffectiveParams",

@@ -23,12 +23,10 @@ import numpy as np
 __all__ = [
     "KET_E",
     "LambdaParams",
-    "DiagonalizationParams",
     "bright_dark_states",
     "sub_hamiltonian",
     "propagator",
     "bright_survival_amplitude",
-    "diagonalization_params",
     "ideal_gate",
 ]
 
@@ -98,20 +96,6 @@ class LambdaParams:
         )
 
 
-@dataclass(frozen=True)
-class DiagonalizationParams:
-    """Diagonalization data of one {bright, excited} block.
-
-    ``eta`` is the block mixing angle taken in (0, pi) so that
-    cos(eta) = D/big_delta holds for effective detunings D of either sign,
-    ``sigma`` = D/2 is the mean phase rate and ``big_delta`` the block gap.
-    """
-
-    eta: float
-    sigma: float
-    big_delta: float
-
-
 def bright_dark_states(p: LambdaParams) -> tuple[np.ndarray, np.ndarray]:
     """Return (dark, bright) unit kets of the pulse pair.
 
@@ -162,22 +146,6 @@ def propagator(p: LambdaParams, effective_detuning: float, t: float) -> np.ndarr
         + u_bb * np.outer(bright, bright.conj())
         + u_ee * np.outer(KET_E, KET_E.conj())
         + u_be * (np.outer(bright, KET_E.conj()) + np.outer(KET_E, bright.conj()))
-    )
-
-
-def diagonalization_params(omega_eff: float, effective_detuning: float) -> DiagonalizationParams:
-    """Block diagonalization angles for drive amplitude omega_eff and detuning D.
-
-    The branch eta in (0, pi) is fixed by atan2(2 omega_eff, D), which keeps
-    cos(eta) = D/big_delta valid for negative D and has no singularity at D = 0.
-    """
-    if not omega_eff > 0.0:
-        raise ValueError(f"omega_eff must be positive, got {omega_eff}")
-    D = effective_detuning
-    return DiagonalizationParams(
-        eta=math.atan2(2.0 * omega_eff, D),
-        sigma=0.5 * D,
-        big_delta=math.hypot(D, 2.0 * omega_eff),
     )
 
 

@@ -276,6 +276,8 @@ def run_validation_suite(
     """
     if cases < 1:
         raise ValueError(f"cases must be at least 1, got {cases}")
+    if max_spins < 1:
+        raise ValueError(f"max_spins must be at least 1, got {max_spins}")
     max_spins = min(max_spins, BRUTE_FORCE_MAX_COLLAPSED)
     rng = np.random.default_rng(seed)
 

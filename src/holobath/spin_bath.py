@@ -1,4 +1,4 @@
-"""Finite spin bath: spectrum, multiplicities, partition function, thermal weights.
+"""Finite spin bath: spectrum, multiplicities and thermal weights.
 
 The bath is N independent spin-1/2 with total z-projection S_z.  Its free
 Hamiltonian alpha*S_z has levels nu_m = alpha*(m - N/2) with multiplicity
@@ -8,7 +8,8 @@ system, S_z + N/2, has spectrum m on those same levels.
 Unit convention: hbar = 1, energies in ns^-1, times and inverse temperature
 beta in ns.  The level splitting alpha is stored in ns^-1 (the CLI accepts the
 experimental ps^-1 scale and multiplies by 1000).  Thermal weights are
-accumulated in log space so binomial coefficients never overflow.
+accumulated in log space so binomial coefficients never overflow; only numpy
+and the standard library are needed.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 __all__ = [
     "KB_OVER_HBAR_NS_INV_PER_K",
@@ -82,31 +82,20 @@ class SpinBath:
         """Eigenvalues m = 0..N of the system-coupled bath operator S_z + N/2."""
         return np.arange(self.n_spins + 1)
 
-    def level_energies(self) -> np.ndarray:
-        """Bath level energies nu_m = alpha*(m - N/2) in ns^-1."""
-        return self.alpha * (self.occupations() - 0.5 * self.n_spins)
-
     def log_weights(self) -> np.ndarray:
         """Unnormalized log thermal weights log C(N, m) - beta*alpha*m."""
         n = self.n_spins
-        m = np.arange(n + 1, dtype=float)
-        log_binom = gammaln(n + 1.0) - gammaln(m + 1.0) - gammaln(n - m + 1.0)
+        log_fact = np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
+        # log C(N, m) = log N! - log m! - log (N - m)!
+        log_binom = log_fact[n] - log_fact - log_fact[::-1]
         # Level m = 0 carries no Boltzmann factor; skipping it keeps beta = inf
         # (T -> 0) at the ground state [1, 0, ..., 0] instead of 0*inf = NaN.
-        log_binom[1:] -= self.beta_alpha * m[1:]
+        log_binom[1:] -= self.beta_alpha * np.arange(1, n + 1)
         return log_binom
-
-    def log_partition(self) -> float:
-        """log Z with Z = sum_m C(N, m) e^{-beta*alpha*m}."""
-        return float(logsumexp(self.log_weights()))
-
-    def mean_occupation(self) -> float:
-        """Thermal mean of m, i.e. the expected number of up spins."""
-        weights = thermal_weights(self)
-        return float(np.dot(self.occupations(), weights))
 
 
 def thermal_weights(bath: SpinBath) -> np.ndarray:
     """Normalized thermal weights p_m = C(N, m) e^{-beta*alpha*m} / Z, m = 0..N."""
     logw = bath.log_weights()
-    return np.exp(logw - logsumexp(logw))
+    w = np.exp(logw - logw.max())
+    return w / w.sum()

@@ -40,11 +40,16 @@ __all__ = [
     "reproduce",
     "ReproduceReport",
     "FIGURES",
+    "MAX_GRID_POINTS",
 ]
 
 REFINE_TOL = 1e-4  # golden-section bracket width (ns^-1)
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
+# A sweep holds (grid, N+1) survival and (grid, n_states) fidelity arrays at
+# once, about 1.5 kB per point for a figure configuration, so 1e5 points peak
+# near 150 MB; a step of REFINE_TOL over the figure range [0, 8] is 80,001.
+MAX_GRID_POINTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -63,9 +68,20 @@ class GammaGrid:
             raise ValueError(
                 f"gamma grid is empty: stop {self.stop} lies below start {self.start}"
             )
+        # Checked before values() allocates anything; the span may be inf.
+        span = self._span()
+        if span >= MAX_GRID_POINTS:
+            points = math.floor(span) + 1 if math.isfinite(span) else span
+            raise ValueError(
+                f"gamma grid has {points} points, more than MAX_GRID_POINTS = {MAX_GRID_POINTS}"
+            )
+
+    def _span(self) -> float:
+        """Number of steps from start to stop, plus 1e-9 so a stop on the grid is kept."""
+        return (self.stop - self.start) / self.step + 1e-9
 
     def values(self) -> np.ndarray:
-        count = int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1
+        count = int(math.floor(self._span())) + 1
         return self.start + self.step * np.arange(count)
 
 

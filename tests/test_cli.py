@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import holobath
 from holobath import cli
 
 
@@ -204,6 +209,28 @@ class TestValidateCommand:
         assert code == 1
         assert "[PASS]" not in captured.out
         assert "error:" in captured.err and "cases" in captured.err
+
+    @pytest.mark.parametrize("max_spins", ["0", "-2"])
+    def test_rejects_max_spins_below_one(self, capsys, max_spins):
+        code = run_cli(["validate", "--max-spins", max_spins])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "[PASS]" not in captured.out
+        assert f"error: max_spins must be at least 1, got {max_spins}" in captured.err
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is a test dependency only; importing it cost ~0.3 s of start-up.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(holobath.__file__)))
+    code = "import sys, holobath.cli; sys.exit('scipy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr or "importing holobath.cli loaded scipy"
 
 
 class TestReproduceCommand:

@@ -12,7 +12,6 @@ from holobath.lambda_system import (
     LambdaParams,
     bright_dark_states,
     bright_survival_amplitude,
-    diagonalization_params,
     ideal_gate,
     propagator,
     sub_hamiltonian,
@@ -219,31 +218,6 @@ class TestSurvivalAmplitude:
             bright_survival_amplitude(-1.0, 2.0, params.tau0, params.delta0)
         with pytest.raises(ValueError):
             bright_survival_amplitude(1.0, 2.0, params.tau0, 0.0)
-
-
-class TestDiagonalizationParams:
-    @given(omega=rabi, shift=detunings)
-    @settings(max_examples=200, deadline=None)
-    def test_eta_branch_consistency(self, omega, shift):
-        dp = diagonalization_params(omega, shift)
-        assert 0.0 < dp.eta < math.pi
-        assert dp.big_delta >= 2.0 * omega
-        assert math.cos(dp.eta) == pytest.approx(shift / dp.big_delta, abs=1e-12)
-        # tan(eta) = 2 omega / D in the product form that stays finite at D = 0
-        assert math.sin(dp.eta) * shift == pytest.approx(
-            2.0 * omega * math.cos(dp.eta), abs=1e-12 * (omega + abs(shift))
-        )
-
-    def test_tan_identity_away_from_zero_detuning(self):
-        for shift in (-7.3, -0.5, 0.4, 9.1):
-            dp = diagonalization_params(1.3, shift)
-            assert math.tan(dp.eta) == pytest.approx(2.0 * 1.3 / shift, rel=1e-9)
-
-    def test_zero_detuning_is_not_singular(self):
-        dp = diagonalization_params(1.5, 0.0)
-        assert dp.eta == pytest.approx(math.pi / 2, abs=1e-15)
-        assert dp.sigma == 0.0
-        assert dp.big_delta == pytest.approx(3.0, rel=1e-15)
 
 
 class TestIdealGate:

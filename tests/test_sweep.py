@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -59,6 +60,29 @@ class TestGammaGrid:
         values[field] = bad
         with pytest.raises(ValueError, match=field):
             GammaGrid(**values)
+
+    def test_rejects_oversized_grid_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="8000000000 points"):
+                GammaGrid(0.0, 8.0, 1e-9)
+            with pytest.raises(ValueError, match="inf points"):
+                GammaGrid(-1e308, 1e308, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    def test_size_cap_boundary(self):
+        cap = sweep_mod.MAX_GRID_POINTS
+        assert GammaGrid(0.0, cap - 1.0, 1.0).values().size == cap
+        with pytest.raises(ValueError, match="MAX_GRID_POINTS"):
+            GammaGrid(0.0, float(cap), 1.0)
+
+    def test_figure_grid_unaffected(self):
+        np.testing.assert_array_equal(
+            sweep_mod.FIGURE_GRID.values(), 0.0 + 0.05 * np.arange(161)
+        )
 
 
 class TestSweepConfig:
