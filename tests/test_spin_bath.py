@@ -90,9 +90,19 @@ def scipy_weights(n: int, beta_alpha: float) -> np.ndarray:
 
 
 class TestSpectrum:
-    def test_occupations(self):
+    def test_occupations_and_energies(self):
         bath = SpinBath(n_spins=4, alpha=2.0, beta=0.3)
         np.testing.assert_array_equal(bath.occupations(), [0, 1, 2, 3, 4])
+        # Level energies nu_m = alpha*(m - N/2) enter the weights only through
+        # the Boltzmann factor e^{-beta*(nu_m - nu_0)} on top of C(N, m).
+        energies = np.array([-4.0, -2.0, 0.0, 2.0, 4.0])
+        log_binom = np.log([math.comb(4, m) for m in range(5)])
+        np.testing.assert_allclose(
+            bath.log_weights() - log_binom,
+            -bath.beta * (energies - energies[0]),
+            rtol=0.0,
+            atol=1e-14,
+        )
 
 
 class TestThermalWeights:
@@ -176,7 +186,7 @@ class TestThermalWeights:
 class TestPartitionFunction:
     @given(n=st.integers(1, 200), beta_alpha=st.floats(0.0, 50.0))
     @settings(max_examples=200, deadline=None)
-    def test_binomial_theorem_ground_weight(self, n, beta_alpha):
+    def test_binomial_theorem_closed_form(self, n, beta_alpha):
         # Z = sum_m C(N, m) x^m = (1 + x)^N with x = e^{-beta*alpha}, so p_0 = 1/Z
         bath = SpinBath(n_spins=n, alpha=1.0, beta=beta_alpha)
         closed = math.exp(-n * math.log1p(math.exp(-beta_alpha)))
