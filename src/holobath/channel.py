@@ -37,6 +37,7 @@ from .lambda_system import (
     bright_dark_states,
     bright_survival_amplitude,
     ideal_gate,
+    require_count,
     wrap_phase,
 )
 from .spin_bath import SpinBath, thermal_weights
@@ -49,7 +50,23 @@ __all__ = [
     "average_fidelity",
     "fidelity_curve",
     "vartheta_grid",
+    "MAX_KERNEL_ELEMENTS",
 ]
+
+# The largest kernel arrays are (len(gamma), N+1) in build_channel, about 72
+# bytes per element at its peak, and (len(gamma), n_states) in the fidelity
+# kernel, about 25.  3e6 elements (near 220 MB) admit a MAX_GRID_POINTS grid
+# with the largest figure bath, N = 28, and the default 30 input states.
+MAX_KERNEL_ELEMENTS = 3_000_000
+
+
+def _require_kernel_size(n_gammas: int, width: int, axis: str) -> None:
+    """Reject a (n_gammas, width) kernel array before anything is allocated."""
+    if n_gammas * width > MAX_KERNEL_ELEMENTS:
+        raise ValueError(
+            f"{n_gammas} gamma values x {width} {axis} is {n_gammas * width} kernel elements, "
+            f"more than MAX_KERNEL_ELEMENTS = {MAX_KERNEL_ELEMENTS}"
+        )
 
 
 @dataclass(frozen=True)
@@ -107,6 +124,7 @@ def build_channel(
         raise ValueError(f"gamma must be a scalar or a 1-D array, got shape {gammas.shape}")
     if not np.all(np.isfinite(gammas)):
         raise ValueError(f"gamma must be finite, got {gamma}")
+    _require_kernel_size(gammas.size, b.n_spins + 1, "bath levels")
     eff = apply_errors(p, e)
     tau0 = p.tau0
     shifts = eff.delta_p + gammas[..., None] * b.occupations()
@@ -164,8 +182,7 @@ def state_fidelity(ch: HolonomicChannel, s: InputState) -> float | np.ndarray:
 
 def vartheta_grid(n_states: int) -> np.ndarray:
     """Equidistant vartheta_k = k*pi/(n-1), k = 0..n-1."""
-    if n_states < 3:
-        raise ValueError(f"need at least 3 input states, got {n_states}")
+    n_states = require_count("n_states", n_states, 3)
     return np.arange(n_states) * (math.pi / (n_states - 1))
 
 
@@ -174,6 +191,9 @@ def fidelity_curve(ch: HolonomicChannel, n_states: int = 30) -> tuple[np.ndarray
 
     For a gamma-array channel the values have shape (len(gamma), n_states).
     """
+    n_states = require_count("n_states", n_states, 3)
+    # survival holds one row of N+1 amplitudes per gamma
+    _require_kernel_size(ch.survival.size // ch.weights.size, n_states, "input states")
     varthetas = vartheta_grid(n_states)
     return varthetas, _fidelity(ch, varthetas)
 

@@ -21,7 +21,7 @@ from .lambda_system import LambdaParams
 from .reference import find_cyclic_time, run_validation_suite
 from .spin_bath import SpinBath
 from .sweep import (
-    FIGURES,
+    FIGURE_SPECS,
     GammaGrid,
     SweepConfig,
     optimize_gamma,
@@ -218,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fid.set_defaults(func=cmd_fidelity)
 
     p_rep = sub.add_parser("reproduce", help="run a baked-in figure configuration")
-    p_rep.add_argument("figure", choices=FIGURES)
+    p_rep.add_argument("figure", choices=FIGURE_SPECS)
     p_rep.add_argument("--out-dir", default=".", help="directory for the CSV output")
     p_rep.set_defaults(func=cmd_reproduce)
 
@@ -250,18 +250,10 @@ def cmd_optimize(args) -> int:
     opts = gather_options(args)
     cfg = build_sweep_config(opts)
     for opt in optimize_gamma(cfg):
-        if opt.on_boundary:
-            print(
-                f"{opt.label}: gamma*={opt.gamma_star:.6f} ns^-1, "
-                f"F_av*={100 * opt.f_av_star:.4f}%  "
-                "[warning: optimum on grid boundary; the true optimum may lie outside "
-                "the scanned range]"
-            )
-        else:
-            print(
-                f"{opt.label}: gamma*={opt.gamma_star:.6f} ns^-1, "
-                f"F_av*={100 * opt.f_av_star:.4f}%"
-            )
+        note = ("  [warning: optimum on grid boundary; the true optimum may lie outside "
+                "the scanned range]") if opt.on_boundary else ""
+        print(f"{opt.label}: gamma*={opt.gamma_star:.6f} ns^-1, "
+              f"F_av*={100 * opt.f_av_star:.4f}%{note}")
     return 0
 
 

@@ -60,15 +60,6 @@ class ErrorParams:
         """True when the errors leave the bright/dark pair unchanged."""
         return self.epsilon0 == self.epsilon1 and self.zeta0 == self.zeta1
 
-    @property
-    def is_zero(self) -> bool:
-        return (
-            self.epsilon0 == 0.0
-            and self.epsilon1 == 0.0
-            and self.zeta0 == self.zeta1
-            and self.kappa == 0.0
-        )
-
 
 @dataclass(frozen=True)
 class EffectiveParams:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,13 @@ def require_finite(obj, names) -> None:
     for name in names:
         if not math.isfinite(getattr(obj, name)):
             raise ValueError(f"{name} must be finite, got {getattr(obj, name)}")
+
+
+def require_count(name: str, value, minimum: int) -> int:
+    """``value`` as an int of at least ``minimum``: any integral (so ``np.int64``), not ``bool``."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__") or value < minimum:
+        raise ValueError(f"{name} must be an integer of at least {minimum}, got {value!r}")
+    return operator.index(value)
 
 
 def wrap_phase(x: float) -> float:

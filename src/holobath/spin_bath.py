@@ -15,10 +15,11 @@ and the standard library are needed.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
+
+from .lambda_system import require_count
 
 __all__ = [
     "KB_OVER_HBAR_NS_INV_PER_K",
@@ -55,10 +56,7 @@ class SpinBath:
     temperature_k: float | None = None
 
     def __post_init__(self):
-        n_spins = self.n_spins
-        if isinstance(n_spins, bool) or not hasattr(type(n_spins), "__index__") or n_spins < 1:
-            raise ValueError(f"n_spins must be a positive integer, got {n_spins!r}")
-        object.__setattr__(self, "n_spins", operator.index(n_spins))
+        object.__setattr__(self, "n_spins", require_count("n_spins", self.n_spins, 1))
         if not (math.isfinite(self.alpha) and self.alpha > 0.0):
             raise ValueError(f"level splitting alpha must be positive and finite, got {self.alpha}")
         if not self.beta >= 0.0:

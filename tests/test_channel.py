@@ -1,11 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import holobath.channel as channel_mod
 from holobath.channel import (
+    MAX_KERNEL_ELEMENTS,
     InputState,
     _fidelity,
     average_fidelity,
@@ -18,6 +21,7 @@ from holobath.error_model import ErrorParams
 from holobath.lambda_system import LambdaParams, ideal_gate
 from holobath.reference import apply_kraus, kraus_fidelity, kraus_matrices, kraus_unitaries
 from holobath.spin_bath import SpinBath, thermal_weights
+from holobath.sweep import FIGURE_GRID, MAX_GRID_POINTS
 
 
 def completeness_defect(ch):
@@ -294,3 +298,63 @@ class TestAverageFidelity:
         weights = np.sin(varthetas)
         weights[0] = weights[-1] = 0.0
         assert abs(average_fidelity(ch, 30) - np.dot(weights, dense) / weights.sum()) < 1e-12
+
+
+def traced_peak(fn) -> int:
+    """Peak traced allocation, in bytes, while ``fn`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+class TestKernelSizeCap:
+    @pytest.mark.parametrize("bad", [3.5, 30.5, True, "30", None])
+    def test_state_count_must_be_an_integer(self, params, bath50, bad):
+        ch = build_channel(params, ErrorParams(), bath50, 0.0)
+        for call in (vartheta_grid, lambda n: average_fidelity(ch, n)):
+            with pytest.raises(ValueError, match="n_states"):
+                call(bad)
+
+    def test_numpy_state_count_is_accepted(self, params, bath50):
+        ch = build_channel(params, ErrorParams.symmetric(0.1), bath50, 2.8)
+        assert average_fidelity(ch, np.int64(30)) == average_fidelity(ch, 30)
+
+    def test_oversized_bath_rejected_before_allocating(self, params):
+        bath = SpinBath(n_spins=100_000_000, alpha=15.0e3, beta=0.01)
+
+        def build():
+            with pytest.raises(ValueError, match="100000001 bath levels.*MAX_KERNEL_ELEMENTS"):
+                build_channel(params, ErrorParams.symmetric(0.1), bath, 2.8)
+
+        assert traced_peak(build) < 100_000
+
+    def test_oversized_state_grid_rejected_before_allocating(self, params, bath50):
+        ch = build_channel(params, ErrorParams.symmetric(0.1), bath50, FIGURE_GRID.values())
+
+        def evaluate():
+            for call in (fidelity_curve, average_fidelity):
+                with pytest.raises(ValueError, match="161 gamma values x 100000000 input states"):
+                    call(ch, 100_000_000)
+
+        assert traced_peak(evaluate) < 100_000
+
+    def test_cap_boundary(self, params, bath50, monkeypatch):
+        gammas = FIGURE_GRID.values()
+        monkeypatch.setattr(channel_mod, "MAX_KERNEL_ELEMENTS", gammas.size * 30)
+        ch = build_channel(params, ErrorParams.symmetric(0.1), bath50, gammas)
+        assert average_fidelity(ch, 30).shape == gammas.shape
+        with pytest.raises(ValueError, match="MAX_KERNEL_ELEMENTS"):
+            average_fidelity(ch, 31)
+        monkeypatch.setattr(channel_mod, "MAX_KERNEL_ELEMENTS", gammas.size * 21)
+        assert build_channel(params, ErrorParams(), bath50, gammas).survival.shape == (161, 21)
+        with pytest.raises(ValueError, match="MAX_KERNEL_ELEMENTS"):
+            build_channel(params, ErrorParams(), SpinBath(21, 15.0e3, 0.01), gammas)
+
+    def test_largest_grid_fits_every_figure_configuration(self):
+        # N = 28 is the largest figure bath; 30 input states are the default.
+        assert MAX_GRID_POINTS * (28 + 1) <= MAX_KERNEL_ELEMENTS
+        assert MAX_GRID_POINTS * 30 <= MAX_KERNEL_ELEMENTS

@@ -6,6 +6,7 @@ import pytest
 
 import holobath
 from holobath import cli
+from holobath.error_model import ErrorParams
 
 
 def run_cli(args):
@@ -51,7 +52,7 @@ class TestConfigFile:
 class TestErrorSettings:
     def test_default_is_zero_errors(self):
         settings = cli.build_error_settings(dict(cli.DEFAULTS))
-        assert len(settings) == 1 and settings[0].is_zero
+        assert settings == (ErrorParams(),)
 
     def test_eps_kappa_list(self):
         opts = dict(cli.DEFAULTS)
@@ -161,6 +162,16 @@ class TestSweepCommand:
         assert "out.csv" in capsys.readouterr().err
 
 
+class TestKernelSizeCap:
+    @pytest.mark.parametrize("flag", ["--n-states", "--n-spins"])
+    def test_huge_counts_are_errors(self, tmp_path, capsys, flag):
+        code = run_cli(["sweep", flag, "100000000", "--output", str(tmp_path / "out.csv")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "error:" in captured.err and "MAX_KERNEL_ELEMENTS" in captured.err
+        assert not (tmp_path / "out.csv").exists()
+
+
 class TestOptimizeCommand:
     def test_boundary_warning_for_zero_errors(self, capsys):
         code = run_cli(
@@ -244,6 +255,12 @@ class TestReproduceCommand:
     def test_rejects_unknown_figure(self, capsys):
         with pytest.raises(SystemExit):
             run_cli(["reproduce", "fig7"])
+
+    def test_missing_interior_optimum_exits_one(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(holobath.sweep, "refine_interior_optimum", lambda *a, **k: None)
+        code = run_cli(["reproduce", "fig1_left", "--out-dir", str(tmp_path)])
+        assert code == 1
+        assert "[FAIL] eps_0.1: interior optimum exists" in capsys.readouterr().out
 
 
 class TestParser:

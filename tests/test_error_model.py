@@ -49,8 +49,6 @@ class TestErrorParams:
         assert e.kappa == 0.3 and e.epsilon0 == 0.1
 
     def test_flags(self):
-        assert ErrorParams().is_zero
-        assert not ErrorParams(kappa=0.1).is_zero
         assert not ErrorParams(epsilon0=0.1).is_symmetric
         assert ErrorParams(zeta0=1.0, zeta1=1.0).is_symmetric
 

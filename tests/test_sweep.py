@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -20,6 +21,46 @@ from holobath.sweep import (
     reproduce,
     run_sweep,
 )
+
+
+# The report lines of each figure, without the two trailing "wrote" lines.
+REPORT_LINES = {
+    "fig1_left": [
+        "fig1_left: N=20, alpha=15 ps^-1, T=50 K, beta*alpha=2.291470",
+        "  eps_0.1: bath optimum gamma*=2.8917 ns^-1, F_av*=97.488%  (gamma=0: 98.792%)",
+        "  eps_0.15: bath optimum gamma*=2.8314 ns^-1, F_av*=97.501%  (gamma=0: 97.352%)",
+        "  eps_0.2: bath optimum gamma*=2.7711 ns^-1, F_av*=97.427%  (gamma=0: 95.469%)",
+        "[PASS] eps_0.1: gamma* within 2.8 +/- 0.2 ns^-1 (measured 2.8917)",
+        "[PASS] eps_0.1: F_av* within [97.3, 97.4]% +/- 0.5 pp (measured 97.488%)",
+        "[PASS] eps_0.15: gamma* within 2.8 +/- 0.2 ns^-1 (measured 2.8314)",
+        "[PASS] eps_0.15: F_av* within [97.3, 97.4]% +/- 0.5 pp (measured 97.501%)",
+        "[PASS] eps_0.2: gamma* within 2.8 +/- 0.2 ns^-1 (measured 2.7711)",
+        "[PASS] eps_0.2: F_av* within [97.3, 97.4]% +/- 0.5 pp (measured 97.427%)",
+        "[PASS] gamma=0 baseline spans [95.5, 98.6]% +/- 0.5 pp, decreasing in the error size "
+        "(measured ['98.79%', '97.35%', '95.47%'])",
+    ],
+    "fig1_right": [
+        "fig1_right: N=20, alpha=15 ps^-1, T=300 K, beta*alpha=0.381912",
+        "  eps_0.1: bath optimum gamma*=0.3598 ns^-1, F_av*=96.950%  (gamma=0: 98.792%)",
+        "  eps_0.15: bath optimum gamma*=0.3430 ns^-1, F_av*=97.207%  (gamma=0: 97.352%)",
+        "  eps_0.2: bath optimum gamma*=0.3258 ns^-1, F_av*=97.459%  (gamma=0: 95.469%)",
+        "[PASS] eps_0.1: gamma*(300 K) differs from the 50 K optimum 2.8 ns^-1 by more than "
+        "the grid step (measured 0.3598)",
+        "[PASS] eps_0.15: gamma*(300 K) differs from the 50 K optimum 2.8 ns^-1 by more than "
+        "the grid step (measured 0.3430)",
+        "[PASS] eps_0.2: gamma*(300 K) differs from the 50 K optimum 2.8 ns^-1 by more than "
+        "the grid step (measured 0.3258)",
+    ],
+    "fig2": [
+        "fig2: eps=kappa=0.2, T=50 K, N in {16, 22, 28}",
+        "  N16: bath optimum gamma*=2.7524 ns^-1, F_av*=97.493%",
+        "  N22: bath optimum gamma*=2.7787 ns^-1, F_av*=97.365%",
+        "  N28: bath optimum gamma*=2.7966 ns^-1, F_av*=97.116%",
+        "[PASS] all gamma* within [2.74, 2.8] ns^-1 +/- 0.05 "
+        "(measured ['2.7524', '2.7787', '2.7966'])",
+        "[PASS] gamma* spread below 3% (measured 1.59%)",
+    ],
+}
 
 
 def small_config(**overrides):
@@ -97,6 +138,15 @@ class TestSweepConfig:
     def test_rejects_small_state_grid(self):
         with pytest.raises(ValueError, match="n_states"):
             small_config(n_states=2)
+
+    @pytest.mark.parametrize("bad", [30.5, True, "30", None])
+    def test_rejects_non_integer_state_count(self, bad):
+        with pytest.raises(ValueError, match="n_states"):
+            small_config(n_states=bad)
+
+    def test_numpy_state_count_is_stored_as_int(self):
+        cfg = small_config(n_states=np.int64(31))
+        assert cfg.n_states == 31 and type(cfg.n_states) is int
 
     def test_labels(self):
         cfg = small_config(
@@ -283,3 +333,37 @@ class TestReproduce:
         stars = [float(row["bath_gamma_star_ns_inv"]) for row in reader]
         assert len(stars) == 3
         assert all(2.69 <= s <= 2.85 for s in stars)
+
+    @pytest.mark.parametrize("figure", sorted(REPORT_LINES))
+    def test_report_lines(self, tmp_path, figure):
+        out_dir = str(tmp_path / "out")
+        report = reproduce(figure, out_dir=out_dir)
+        assert report.passed
+        stem = os.path.join(out_dir, figure)
+        assert list(report.lines) == REPORT_LINES[figure] + [
+            f"wrote {stem}.csv",
+            f"wrote {stem}_optima.csv",
+        ]
+
+    @pytest.mark.parametrize("figure", sorted(sweep_mod.FIGURE_SPECS))
+    def test_one_golden_section_search_per_curve(self, tmp_path, monkeypatch, figure):
+        calls = []
+        original = sweep_mod.golden_section_maximize
+
+        def counting(*args, **kwargs):
+            calls.append(args[1:3])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(sweep_mod, "golden_section_maximize", counting)
+        reproduce(figure, out_dir=str(tmp_path))
+        assert len(calls) == 3, calls  # every figure has three curves
+
+    @pytest.mark.parametrize("figure", ["fig1_left", "fig1_right"])
+    def test_missing_interior_optimum_fails(self, tmp_path, monkeypatch, figure):
+        # eps = 0.1 has its global optimum at gamma = 0, so only the interior
+        # search can supply its bath optimum.
+        monkeypatch.setattr(sweep_mod, "refine_interior_optimum", lambda *a, **k: None)
+        report = reproduce(figure, out_dir=str(tmp_path))
+        assert not report.passed
+        assert "  eps_0.1: no interior optimum; global gamma*=0.0000" in report.lines
+        assert "[FAIL] eps_0.1: interior optimum exists" in report.lines
