@@ -20,7 +20,7 @@ from .channel import (
     fidelity_curve,
     state_fidelity,
 )
-from .error_model import EffectiveParams, ErrorParams, apply_errors
+from .error_model import ErrorParams, apply_errors
 from .lambda_system import (
     LambdaParams,
     bright_dark_states,
@@ -61,7 +61,6 @@ __all__ = [
     "bright_survival_amplitude",
     "ideal_gate",
     "ErrorParams",
-    "EffectiveParams",
     "apply_errors",
     "SpinBath",
     "KB_OVER_HBAR_NS_INV_PER_K",

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .error_model import EffectiveParams, ErrorParams, apply_errors
+from .error_model import ErrorParams, apply_errors
 from .lambda_system import (
     LambdaParams,
     bright_dark_states,
@@ -83,30 +83,24 @@ class InputState:
             raise ValueError(f"xi must be finite, got {self.xi}")
         object.__setattr__(self, "xi", wrap_phase(self.xi))
 
-    def ket(self, dark: np.ndarray, bright: np.ndarray) -> np.ndarray:
-        half = 0.5 * self.vartheta
-        return math.cos(half) * dark + np.exp(1j * self.xi) * math.sin(half) * bright
-
 
 @dataclass(frozen=True)
 class HolonomicChannel:
-    """Thermal weights and survival amplitudes of {sqrt(p_m) U_m}, plus the ideal gate.
+    """Thermal weights and survival amplitudes of {sqrt(p_m) U_m}.
 
-    ``gamma`` is a scalar or a 1-D array; ``survival`` then has shape (N+1,)
-    or (len(gamma), N+1), one amplitude u_m per bath occupation m.
+    ``params`` is the ideal drive, which fixes the gate and the pulse time;
+    ``effective`` is the errored drive that the U_m run.  ``gamma`` is a
+    scalar or a 1-D array; ``survival`` then has shape (N+1,) or
+    (len(gamma), N+1), one amplitude u_m per bath occupation m.  Both arrays
+    are read-only, so a channel may be shared.
     """
 
     params: LambdaParams
-    errors: ErrorParams
-    effective: EffectiveParams
+    effective: LambdaParams
     bath: SpinBath
     gamma: float | np.ndarray
     weights: np.ndarray = field(repr=False)
     survival: np.ndarray = field(repr=False)
-    tau0: float = field(repr=False)
-    gate: np.ndarray = field(repr=False)
-    dark: np.ndarray = field(repr=False)
-    bright: np.ndarray = field(repr=False)
 
 
 def build_channel(
@@ -126,21 +120,17 @@ def build_channel(
         raise ValueError(f"gamma must be finite, got {gamma}")
     _require_kernel_size(gammas.size, b.n_spins + 1, "bath levels")
     eff = apply_errors(p, e)
-    tau0 = p.tau0
-    shifts = eff.delta_p + gammas[..., None] * b.occupations()
-    dark, bright = bright_dark_states(p)
+    shifts = eff.delta + gammas[..., None] * b.occupations()
+    weights = thermal_weights(b)
+    survival = bright_survival_amplitude(eff.omega, shifts, p.tau0, p.delta0)
+    weights.flags.writeable = survival.flags.writeable = False
     return HolonomicChannel(
         params=p,
-        errors=e,
         effective=eff,
         bath=b,
         gamma=gammas if gammas.ndim else float(gammas),
-        weights=thermal_weights(b),
-        survival=bright_survival_amplitude(eff.omega_p, shifts, tau0, p.delta0),
-        tau0=tau0,
-        gate=ideal_gate(p),
-        dark=dark,
-        bright=bright,
+        weights=weights,
+        survival=survival,
     )
 
 
@@ -150,13 +140,11 @@ def _fidelity(ch: HolonomicChannel, varthetas: np.ndarray, xi: float = 0.0) -> n
     The bath enters only through <u> and <|u|^2>, reduced over m before they
     meet the input states, so no (gamma, vartheta, m) array is ever built.
     """
+    dark, bright = bright_dark_states(ch.params)
     half = 0.5 * np.asarray(varthetas)
-    psi = (
-        np.cos(half)[..., None] * ch.dark
-        + (np.exp(1j * xi) * np.sin(half))[..., None] * ch.bright
-    )
-    target = psi @ ch.gate.T
-    dark_p, bright_p = ch.effective.bright_dark()
+    psi = np.cos(half)[..., None] * dark + (np.exp(1j * xi) * np.sin(half))[..., None] * bright
+    target = psi @ ideal_gate(ch.params).T
+    dark_p, bright_p = bright_dark_states(ch.effective)
     a = (target.conj() @ dark_p) * (psi @ dark_p.conj())
     b = (target.conj() @ bright_p) * (psi @ bright_p.conj())
     mean_u = ch.survival @ ch.weights

@@ -266,19 +266,21 @@ def cmd_fidelity(args) -> int:
         raise ValueError("fidelity evaluates a single error setting; pass --eps-kappa once")
     gamma = opts["gamma_ns_inv"]
     ch = build_channel(params, settings[0], bath, gamma)
-    eff = ch.effective
-    print(f"tau0_ns = {ch.tau0:.9f}   chi_rad = {params.chi:.9f}")
-    print(
-        f"effective drive: omega'={eff.omega_p:.6f} ns^-1, delta'={eff.delta_p:.6f} ns^-1, "
-        f"theta'={eff.theta_p:.6f} rad, phi'={eff.phi_p:.6f} rad"
-    )
-    print(f"errored cyclic time tau0'_ns = {find_cyclic_time(eff.as_params()):.9f} (diagnostic)")
-    print(f"bath: N={bath.n_spins}, beta*alpha={bath.beta_alpha:.6f}, gamma={gamma:g} ns^-1")
+    # Evaluate before printing, so a rejected input leaves stdout empty.
     varthetas, values = fidelity_curve(ch, opts["n_states"])
+    f_av = average_fidelity(ch, opts["n_states"])
+    eff = ch.effective
+    print(f"tau0_ns = {params.tau0:.9f}   chi_rad = {params.chi:.9f}")
+    print(
+        f"effective drive: omega'={eff.omega:.6f} ns^-1, delta'={eff.delta:.6f} ns^-1, "
+        f"theta'={eff.theta:.6f} rad, phi'={eff.phi:.6f} rad"
+    )
+    print(f"errored cyclic time tau0'_ns = {find_cyclic_time(eff):.9f} (diagnostic)")
+    print(f"bath: N={bath.n_spins}, beta*alpha={bath.beta_alpha:.6f}, gamma={gamma:g} ns^-1")
     print("vartheta_rad,fidelity")
     for vartheta, value in zip(varthetas, values):
         print(f"{vartheta:.6f},{value:.12f}")
-    print(f"F_av (n={opts['n_states']}) = {average_fidelity(ch, opts['n_states']):.12f}")
+    print(f"F_av (n={opts['n_states']}) = {f_av:.12f}")
     return 0
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .channel import HolonomicChannel, InputState, build_channel, state_fidelity
 from .error_model import ErrorParams
-from .lambda_system import LambdaParams, propagator, sub_hamiltonian
+from .lambda_system import LambdaParams, ideal_gate, propagator, sub_hamiltonian
 from .spin_bath import SpinBath
 
 __all__ = [
@@ -236,9 +236,8 @@ def kraus_unitaries(ch: HolonomicChannel) -> np.ndarray:
     """Block propagators U_m of a scalar-gamma channel, shape (N+1, 3, 3)."""
     if np.ndim(ch.gamma):
         raise ValueError("dense Kraus matrices need a scalar-gamma channel")
-    shifts = ch.effective.delta_p + ch.gamma * ch.bath.occupations()
-    eff_params = ch.effective.as_params()
-    return np.stack([propagator(eff_params, float(shift), ch.tau0) for shift in shifts])
+    shifts = ch.effective.delta + ch.gamma * ch.bath.occupations()
+    return np.stack([propagator(ch.effective, float(shift), ch.params.tau0) for shift in shifts])
 
 
 def kraus_matrices(ch: HolonomicChannel) -> np.ndarray:
@@ -253,8 +252,8 @@ def apply_kraus(kraus: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 def kraus_fidelity(ch: HolonomicChannel, kraus: np.ndarray, state: InputState) -> float:
     """F(psi) = [sum_m |<G psi|A_m|psi>|^2]^(1/2) from the dense Kraus matrices of ch."""
-    psi = state.ket(ch.dark, ch.bright)
-    target = ch.gate @ psi
+    psi = _input_ket(ch.params, state)
+    target = ideal_gate(ch.params) @ psi
     overlaps = np.einsum("i,mij,j->m", target.conj(), kraus, psi)
     f2 = float(np.sum(np.abs(overlaps) ** 2))
     return min(math.sqrt(f2), 1.0)
@@ -262,7 +261,7 @@ def kraus_fidelity(ch: HolonomicChannel, kraus: np.ndarray, state: InputState) -
 
 def channel_output_state(ch: HolonomicChannel, state: InputState) -> np.ndarray:
     """Channel output density matrix for a pure input, via the Kraus ensemble."""
-    ket = state.ket(ch.dark, ch.bright)
+    ket = _input_ket(ch.params, state)
     return apply_kraus(kraus_matrices(ch), np.outer(ket, ket.conj()))
 
 
@@ -289,7 +288,7 @@ def run_validation_suite(
         p, e, bath, gamma, state = _random_case(rng, max_spins)
         ch = build_channel(p, e, bath, gamma)
         kraus = kraus_matrices(ch)
-        ket = state.ket(ch.dark, ch.bright)
+        ket = _input_ket(p, state)
         rho_fast = apply_kraus(kraus, np.outer(ket, ket.conj()))
         rho_exact = full_evolution(p, e, bath, gamma, state)
         worst_channel = max(worst_channel, trace_distance(rho_fast, rho_exact))

@@ -99,21 +99,24 @@ class SweepConfig:
     n_states: int = 30
 
     def __post_init__(self):
-        if isinstance(self.error_settings, ErrorParams):
-            object.__setattr__(self, "error_settings", (self.error_settings,))
         if not self.error_settings:
             raise ValueError("at least one error setting is required")
         object.__setattr__(self, "n_states", require_count("n_states", self.n_states, 3))
+        labels = self.labels()
+        for label in labels:
+            if labels.count(label) > 1:
+                raise ValueError(f"two error settings share the curve label {label!r}")
 
     def labels(self) -> list[str]:
         return [_setting_label(e, i) for i, e in enumerate(self.error_settings)]
 
 
 def _setting_label(e: ErrorParams, index: int) -> str:
+    """A column name that keeps the setting's 12 significant digits, as the metadata does."""
     if e.is_symmetric and e.zeta0 == 0.0:
         if e.kappa == e.epsilon0:
-            return f"eps_{e.epsilon0:g}"
-        return f"eps_{e.epsilon0:g}_kap_{e.kappa:g}"
+            return f"eps_{_fmt(e.epsilon0)}"
+        return f"eps_{_fmt(e.epsilon0)}_kap_{_fmt(e.kappa)}"
     return f"set{index + 1}"
 
 

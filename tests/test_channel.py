@@ -18,8 +18,15 @@ from holobath.channel import (
     vartheta_grid,
 )
 from holobath.error_model import ErrorParams
-from holobath.lambda_system import LambdaParams, ideal_gate
-from holobath.reference import apply_kraus, kraus_fidelity, kraus_matrices, kraus_unitaries
+from holobath.lambda_system import LambdaParams, bright_survival_amplitude, ideal_gate
+from holobath.reference import (
+    _input_ket,
+    apply_kraus,
+    find_cyclic_time,
+    kraus_fidelity,
+    kraus_matrices,
+    kraus_unitaries,
+)
 from holobath.spin_bath import SpinBath, thermal_weights
 from holobath.sweep import FIGURE_GRID, MAX_GRID_POINTS
 
@@ -80,10 +87,7 @@ class TestInputState:
 
     def test_ket_is_normalized(self):
         p = LambdaParams(omega=1.0, delta=2.0, theta=1.1, phi=0.4)
-        from holobath.lambda_system import bright_dark_states
-
-        d, b = bright_dark_states(p)
-        ket = InputState(0.7, 1.3).ket(d, b)
+        ket = _input_ket(p, InputState(0.7, 1.3))
         assert abs(np.vdot(ket, ket) - 1.0) < 1e-14
 
 
@@ -109,14 +113,17 @@ class TestBuildChannel:
     def test_uses_ideal_cyclic_time(self, params, bath50):
         # errors shift the errored cyclic time but the pulse still runs tau0
         ch = build_channel(params, ErrorParams.symmetric(0.2), bath50, 1.0)
-        assert ch.tau0 == params.tau0
+        assert abs(find_cyclic_time(ch.effective) - params.tau0) > 0.1
+        shifts = ch.effective.delta + 1.0 * bath50.occupations()
+        expected = bright_survival_amplitude(ch.effective.omega, shifts, params.tau0, params.delta0)
+        np.testing.assert_array_equal(ch.survival, expected)
 
     def test_zero_temperature_single_kraus_term(self, params, symmetric_errors):
         cold = SpinBath(n_spins=12, alpha=1.0, beta=1e4)
         ch = build_channel(params, symmetric_errors, cold, 2.8)
         assert ch.weights[0] == pytest.approx(1.0, abs=1e-12)
         # the channel then acts as a single unitary: pure outputs
-        ket = InputState(1.1, 0.3).ket(ch.dark, ch.bright)
+        ket = _input_ket(params, InputState(1.1, 0.3))
         rho = apply_kraus(kraus_matrices(ch), np.outer(ket, ket.conj()))
         purity = float(np.trace(rho @ rho).real)
         assert purity == pytest.approx(1.0, abs=1e-10)
@@ -133,7 +140,7 @@ class TestBuildChannel:
 
     def test_apply_preserves_trace_and_hermiticity(self, params, bath50, symmetric_errors):
         ch = build_channel(params, symmetric_errors, bath50, 2.8)
-        ket = InputState(2.0, 0.9).ket(ch.dark, ch.bright)
+        ket = _input_ket(params, InputState(2.0, 0.9))
         rho = apply_kraus(kraus_matrices(ch), np.outer(ket, ket.conj()))
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(rho, rho.conj().T, atol=1e-13)
@@ -163,6 +170,18 @@ class TestBuildChannel:
         ch = build_channel(params, ErrorParams(), bath50, np.zeros(bath50.n_spins + 1))
         with pytest.raises(ValueError, match="scalar-gamma"):
             kraus_matrices(ch)
+
+    @pytest.mark.parametrize("gamma", [2.8, np.array([0.0, 2.8])])
+    @pytest.mark.parametrize("name", ["weights", "survival"])
+    def test_arrays_are_read_only(self, params, bath50, symmetric_errors, gamma, name):
+        # A shared channel cannot be changed under a later fidelity call.
+        ch = build_channel(params, symmetric_errors, bath50, gamma)
+        before = average_fidelity(ch)
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(ch, name)[:] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(ch, name)[..., 0] = 1
+        np.testing.assert_array_equal(average_fidelity(ch), before)
 
 
 class TestStateFidelity:

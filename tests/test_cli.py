@@ -105,6 +105,15 @@ class TestFidelityCommand:
         assert code == 1
         assert "single error setting" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n_states, reason", [("2", "n_states"),
+                                                  ("100000000", "MAX_KERNEL_ELEMENTS")])
+    def test_rejected_state_count_prints_nothing(self, capsys, n_states, reason):
+        code = run_cli(["fidelity", "--eps-kappa", "0.1", "--n-states", n_states])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "error:" in captured.err and reason in captured.err
+
 
 class TestSweepCommand:
     def test_writes_csv(self, tmp_path, capsys):
@@ -124,6 +133,23 @@ class TestSweepCommand:
         assert out.exists()
         stdout = capsys.readouterr().out
         assert "wrote" in stdout and "grid optimum" in stdout
+
+    def test_close_settings_get_distinct_columns(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        code = run_cli(["sweep", "--eps-kappa", "0.1234567", "--eps-kappa", "0.1234568",
+                        "--n-spins", "4", "--gamma-step-ns-inv", "1", "--output", str(out)])
+        assert code == 0
+        header = [line for line in out.read_text().splitlines() if line.startswith("gamma")]
+        assert header == ["gamma_ns_inv,f_av_eps_0.1234567,f_av_eps_0.1234568"]
+
+    def test_repeated_setting_is_an_error(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        code = run_cli(["sweep", "--eps-kappa", "0.1", "--eps-kappa", "0.1",
+                        "--output", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "error:" in captured.err and "eps_0.1" in captured.err
+        assert not out.exists()
 
     def test_config_file_with_override(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

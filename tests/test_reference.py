@@ -12,6 +12,7 @@ from holobath.lambda_system import LambdaParams
 from holobath.reference import (
     BRUTE_FORCE_MAX_COLLAPSED,
     BRUTE_FORCE_MAX_PRODUCT,
+    _input_ket,
     channel_output_state,
     expm_hermitian,
     find_cyclic_time,
@@ -90,7 +91,7 @@ class TestFullEvolution:
         small = SpinBath(n_spins=6, alpha=bath50.alpha, beta=bath50.beta)
         rho = full_evolution(params, errors, small, 0.0, state)
         ch = build_channel(params, errors, small, 0.0)
-        ket = kraus_unitaries(ch)[0] @ state.ket(ch.dark, ch.bright)
+        ket = kraus_unitaries(ch)[0] @ _input_ket(params, state)
         np.testing.assert_allclose(rho, np.outer(ket, ket.conj()), atol=1e-12)
 
     def test_density_matrix_properties(self, params):

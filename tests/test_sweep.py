@@ -131,10 +131,6 @@ class TestSweepConfig:
         with pytest.raises(ValueError, match="error setting"):
             small_config(error_settings=())
 
-    def test_accepts_single_setting(self):
-        cfg = small_config(error_settings=ErrorParams.symmetric(0.1))
-        assert len(cfg.error_settings) == 1
-
     def test_rejects_small_state_grid(self):
         with pytest.raises(ValueError, match="n_states"):
             small_config(n_states=2)
@@ -152,11 +148,19 @@ class TestSweepConfig:
         cfg = small_config(
             error_settings=(
                 ErrorParams.symmetric(0.1),
-                ErrorParams.symmetric(0.1, kappa=0.3),
+                ErrorParams(epsilon0=0.1, epsilon1=0.1, kappa=0.3),
                 ErrorParams(epsilon0=0.1, zeta0=0.4),
+                ErrorParams.symmetric(0.1234567),
             )
         )
-        assert cfg.labels() == ["eps_0.1", "eps_0.1_kap_0.3", "set3"]
+        assert cfg.labels() == ["eps_0.1", "eps_0.1_kap_0.3", "set3", "eps_0.1234567"]
+
+    @pytest.mark.parametrize("second", [0.1, 0.1 + 1e-15])
+    def test_rejects_colliding_labels(self, second):
+        with pytest.raises(ValueError, match="'eps_0.1'"):
+            small_config(
+                error_settings=(ErrorParams.symmetric(0.1), ErrorParams.symmetric(second))
+            )
 
 
 class TestRunSweep:
