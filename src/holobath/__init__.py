@@ -26,8 +26,6 @@ from .lambda_system import (
     bright_dark_states,
     bright_survival_amplitude,
     ideal_gate,
-    propagator,
-    sub_hamiltonian,
 )
 from .reference import (
     expm_hermitian,
@@ -56,8 +54,6 @@ __all__ = [
     "__version__",
     "LambdaParams",
     "bright_dark_states",
-    "sub_hamiltonian",
-    "propagator",
     "bright_survival_amplitude",
     "ideal_gate",
     "ErrorParams",

@@ -189,12 +189,18 @@ def fidelity_curve(ch: HolonomicChannel, n_states: int = 30) -> tuple[np.ndarray
 def average_fidelity(ch: HolonomicChannel, n_states: int = 30) -> float | np.ndarray:
     """sin-weighted average of F over n_states equidistant vartheta values.
 
-    A float for a scalar-gamma channel, one average per gamma otherwise.  The
-    endpoint weights sin(0) and sin(pi) vanish analytically; they are zeroed
-    explicitly (float sin(pi) is ~1.2e-16) so the average over n points
-    equals the average over the n-2 interior points exactly.
+    A float for a scalar-gamma channel, one average per gamma otherwise.
     """
-    varthetas, values = fidelity_curve(ch, n_states)
+    return _sin_weighted_average(*fidelity_curve(ch, n_states))
+
+
+def _sin_weighted_average(varthetas: np.ndarray, values: np.ndarray) -> float | np.ndarray:
+    """Average of a :func:`fidelity_curve` table over its last axis, weighted by sin(vartheta).
+
+    The endpoint weights sin(0) and sin(pi) vanish analytically; they are
+    zeroed explicitly (float sin(pi) is ~1.2e-16) so the average over n
+    points equals the average over the n-2 interior points exactly.
+    """
     weights = np.sin(varthetas)
     weights[0] = 0.0
     weights[-1] = 0.0

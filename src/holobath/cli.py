@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .channel import average_fidelity, build_channel, fidelity_curve
+from .channel import _sin_weighted_average, build_channel, fidelity_curve
 from .error_model import ErrorParams
 from .lambda_system import LambdaParams
 from .reference import find_cyclic_time, run_validation_suite
@@ -268,7 +268,7 @@ def cmd_fidelity(args) -> int:
     ch = build_channel(params, settings[0], bath, gamma)
     # Evaluate before printing, so a rejected input leaves stdout empty.
     varthetas, values = fidelity_curve(ch, opts["n_states"])
-    f_av = average_fidelity(ch, opts["n_states"])
+    f_av = _sin_weighted_average(varthetas, values)
     eff = ch.effective
     print(f"tau0_ns = {params.tau0:.9f}   chi_rad = {params.chi:.9f}")
     print(

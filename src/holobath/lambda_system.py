@@ -1,4 +1,4 @@
-"""Ideal three-level Lambda-system physics: states, propagators, and the holonomic gate.
+"""Ideal three-level Lambda-system physics: states, survival amplitude and holonomic gate.
 
 Everything works in the fixed basis {|0>, |1>, |e>} (indices 0, 1, 2), with
 hbar = 1, frequencies in ns^-1 and times in ns.  A square pulse pair with Rabi
@@ -7,9 +7,10 @@ amplitude ``omega``, common detuning ``delta``, amplitude mixing angle
 one superposition of the qubit levels (the bright state); the orthogonal
 combination (the dark state) never couples to the drive.
 
-Propagators are evaluated in closed form on the 2x2 {bright, excited} block;
-dense matrix exponentials live in :mod:`holobath.reference` and are used only
-to cross-validate this module.
+The one propagator quantity the fidelity kernel needs, the bright-state
+survival amplitude, is evaluated in closed form on the 2x2 {bright, excited}
+block; dense matrix exponentials live in :mod:`holobath.reference` and are
+used only to cross-validate this module.
 """
 
 from __future__ import annotations
@@ -22,19 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "KET_E",
     "LambdaParams",
     "bright_dark_states",
-    "sub_hamiltonian",
-    "propagator",
     "bright_survival_amplitude",
     "ideal_gate",
 ]
 
 TWO_PI = 2.0 * math.pi
-
-# Auxiliary (excited) level in the fixed basis ordering.
-KET_E = np.array([0.0, 0.0, 1.0], dtype=complex)
 
 
 def require_finite(obj, names) -> None:
@@ -119,44 +114,6 @@ def bright_dark_states(p: LambdaParams) -> tuple[np.ndarray, np.ndarray]:
     return dark, bright
 
 
-def sub_hamiltonian(p: LambdaParams, effective_detuning: float) -> np.ndarray:
-    """Drive Hamiltonian D|e><e| + omega(|e><b| + |b><e|) for one bath level.
-
-    ``effective_detuning`` is the bare detuning shifted by the bath,
-    D = delta + gamma*m.  Built from outer products of the bright state so the
-    dark state is annihilated to machine precision.
-    """
-    bright = bright_dark_states(p)[1]
-    coupling = np.outer(KET_E, bright.conj())
-    projector_e = np.outer(KET_E, KET_E.conj())
-    return effective_detuning * projector_e + p.omega * (coupling + coupling.conj().T)
-
-
-def propagator(p: LambdaParams, effective_detuning: float, t: float) -> np.ndarray:
-    """Closed-form propagator exp(-i H_D t) of :func:`sub_hamiltonian`.
-
-    Identity on the dark state; the {bright, excited} block is exponentiated
-    analytically via its Pauli decomposition, so no numerical matrix
-    exponential is involved.
-    """
-    dark, bright = bright_dark_states(p)
-    D = effective_detuning
-    big = math.hypot(D, 2.0 * p.omega)
-    half_angle = 0.5 * big * t
-    mean_phase = cmath.exp(-0.5j * D * t)
-    cos_r = math.cos(half_angle)
-    sin_r = math.sin(half_angle)
-    u_bb = mean_phase * (cos_r + 1j * (D / big) * sin_r)
-    u_ee = mean_phase * (cos_r - 1j * (D / big) * sin_r)
-    u_be = mean_phase * (-1j * (2.0 * p.omega / big) * sin_r)
-    return (
-        np.outer(dark, dark.conj())
-        + u_bb * np.outer(bright, bright.conj())
-        + u_ee * np.outer(KET_E, KET_E.conj())
-        + u_be * (np.outer(bright, KET_E.conj()) + np.outer(KET_E, bright.conj()))
-    )
-
-
 def bright_survival_amplitude(omega_eff, effective_detuning, tau0: float, delta0: float):
     """Bright-state survival amplitude <b|exp(-i H_D tau0)|b> in closed form.
 
@@ -187,6 +144,6 @@ def ideal_gate(p: LambdaParams) -> np.ndarray:
     """
     dark, bright = bright_dark_states(p)
     bright_phase = -cmath.exp(-1j * p.chi)
-    return np.outer(dark, dark.conj()) + bright_phase * (
-        np.outer(bright, bright.conj()) + np.outer(KET_E, KET_E.conj())
-    )
+    excited = np.zeros((3, 3), dtype=complex)
+    excited[2, 2] = 1.0
+    return np.outer(dark, dark.conj()) + bright_phase * (np.outer(bright, bright.conj()) + excited)

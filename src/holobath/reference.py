@@ -1,14 +1,17 @@
 """Independent brute-force references used to validate the fast code paths.
 
-Nothing here reuses the survival-amplitude closed form or the fidelity
+No oracle here reuses the survival-amplitude closed form or the fidelity
 kernel: system Hamiltonians are assembled from the raw errored drive
 amplitudes, bath weights from exact binomial coefficients, and everything is
 exponentiated densely via eigendecomposition.  Agreement with
 :mod:`holobath.channel` is therefore a genuine cross-check.
 
-The dense Kraus matrices sqrt(p_m) U_m (one 3x3 block propagator per bath
-level) are assembled here for validation only; the channel keeps just what
-its fidelity kernel needs, and the suite checks that kernel against them.
+The dense Kraus matrices sqrt(p_m) U_m are assembled here for validation
+only, each U_m the dense exponential of the errored drive Hamiltonian with
+the excited level shifted by gamma*m; the channel keeps just what its
+fidelity kernel needs, and the suite checks that kernel against them.  The
+small-matrix oracles work on stacks: one batched eigendecomposition per
+check, not one per 3x3 matrix.
 
 The full system (x) bath evolution works in the collapsed occupation basis
 (dimension 3*(N+1), each level m carrying its binomial multiplicity as
@@ -26,7 +29,7 @@ import numpy as np
 
 from .channel import HolonomicChannel, InputState, build_channel, state_fidelity
 from .error_model import ErrorParams
-from .lambda_system import LambdaParams, ideal_gate, propagator, sub_hamiltonian
+from .lambda_system import LambdaParams, bright_survival_amplitude, ideal_gate
 from .spin_bath import SpinBath
 
 __all__ = [
@@ -39,23 +42,34 @@ __all__ = [
     "trace_distance",
     "find_cyclic_time",
     "CheckResult",
+    "MAX_VALIDATION_CASES",
     "run_validation_suite",
 ]
 
 BRUTE_FORCE_MAX_COLLAPSED = 12  # occupation basis, dimension 3*(N+1)
 BRUTE_FORCE_MAX_PRODUCT = 6  # full product basis, dimension 3*2^N
+# The survival-amplitude check exponentiates 5*cases drives as one stack.  A
+# suite peaks near 6 kB per case under tracemalloc (23 MB at 4,000 cases), so
+# the cap holds it near 60 MB.
+MAX_VALIDATION_CASES = 10_000
 
 HERMITICITY_TOL = 1e-12
 
 
-def expm_hermitian(h: np.ndarray, t: float = 1.0) -> np.ndarray:
-    """exp(-i h t) of a Hermitian matrix via eigendecomposition."""
+def expm_hermitian(h: np.ndarray, t=1.0) -> np.ndarray:
+    """exp(-i h t) of a Hermitian matrix, or of each matrix of a (..., n, n) stack.
+
+    ``t`` is a scalar or one time per matrix (shape ``h.shape[:-2]``).  The
+    stack goes through one batched eigendecomposition, whose results equal
+    those of per-matrix calls bit for bit.
+    """
     h = np.asarray(h, dtype=complex)
-    defect = np.max(np.abs(h - h.conj().T))
+    defect = np.max(np.abs(h - np.swapaxes(h, -1, -2).conj()))
     if defect > HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian (max |H - H^dag| = {defect:.3e})")
     eigvals, eigvecs = np.linalg.eigh(h)
-    return (eigvecs * np.exp(-1j * eigvals * t)) @ eigvecs.conj().T
+    phases = np.exp(-1j * eigvals * np.asarray(t)[..., None])
+    return (eigvecs * phases[..., None, :]) @ np.swapaxes(eigvecs, -1, -2).conj()
 
 
 def raw_error_hamiltonian(p: LambdaParams, e: ErrorParams) -> np.ndarray:
@@ -83,13 +97,19 @@ def raw_error_hamiltonian(p: LambdaParams, e: ErrorParams) -> np.ndarray:
     return h
 
 
-def _input_ket(p: LambdaParams, state: InputState) -> np.ndarray:
+def _bright_ket(p: LambdaParams) -> np.ndarray:
     # Own copy of the state construction so the comparison inputs are not
     # routed through the module under test.
     half = 0.5 * p.theta
     phase = cmath.exp(1j * p.phi)
+    return np.array([phase.conjugate() * math.sin(half), -math.cos(half), 0.0], dtype=complex)
+
+
+def _input_ket(p: LambdaParams, state: InputState) -> np.ndarray:
+    half = 0.5 * p.theta
+    phase = cmath.exp(1j * p.phi)
     dark = np.array([math.cos(half), phase * math.sin(half), 0.0], dtype=complex)
-    bright = np.array([phase.conjugate() * math.sin(half), -math.cos(half), 0.0], dtype=complex)
+    bright = _bright_ket(p)
     vhalf = 0.5 * state.vartheta
     return math.cos(vhalf) * dark + cmath.exp(1j * state.xi) * math.sin(vhalf) * bright
 
@@ -147,13 +167,12 @@ def full_evolution(
     bath_dim = occupations.size
     h_system = raw_error_hamiltonian(p, e)
     bath_energies = b.alpha * (occupations - 0.5 * n)
-    projector_e = np.zeros((3, 3))
-    projector_e[2, 2] = 1.0
-    h_total = (
-        np.kron(h_system, np.eye(bath_dim))
-        + np.kron(np.eye(3), np.diag(bath_energies))
-        + gamma * np.kron(projector_e, np.diag(occupations))
-    )
+    # H_sys (x) 1 + 1 (x) diag(E) + gamma |e><e| (x) diag(m): the last two
+    # terms are diagonal, so they are added to the diagonal in place.
+    h_total = np.kron(h_system, np.eye(bath_dim))
+    diagonal = h_total.reshape(-1)[:: 3 * bath_dim + 1]  # a view
+    diagonal += np.tile(bath_energies, 3)
+    diagonal[2 * bath_dim :] += gamma * occupations
 
     ket = _input_ket(p, psi)
     rho0 = np.kron(np.outer(ket, ket.conj()), np.diag(boltzmann).astype(complex))
@@ -161,37 +180,44 @@ def full_evolution(
     return partial_trace_bath(u @ rho0 @ u.conj().T, bath_dim)
 
 
-def find_cyclic_time(p: LambdaParams) -> float:
-    """Smallest t > 0 with <e|exp(-i H t)|b> = 0, by bracketing + bisection.
+def _cyclic_times(drives) -> np.ndarray:
+    """Smallest t > 0 with <e|exp(-i H t)|b> = 0 for each drive, bisected in lockstep.
 
     The search signal is the signed quantity Im(e^{i delta t/2} <e|U(t)|b>),
     which crosses zero exactly at the cyclic time; the amplitude itself comes
     from the dense exponential, not the closed form.  The first zero provably
-    lies in (t_ub/2, t_ub] with t_ub = 2*pi/max(2*omega, |delta|).
+    lies in (t_ub/2, t_ub] with t_ub = 2*pi/max(2*omega, |delta|).  Every
+    drive sees the midpoints its own bisection would, so the result does not
+    depend on which other drives share the stack.
     """
-    h = raw_error_hamiltonian(p, ErrorParams())
-    half = 0.5 * p.theta
-    phase = cmath.exp(1j * p.phi)
-    bright = np.array([phase.conjugate() * math.sin(half), -math.cos(half), 0.0], dtype=complex)
+    h = np.stack([raw_error_hamiltonian(p, ErrorParams()) for p in drives])
+    bright = np.stack([_bright_ket(p) for p in drives])[..., None]
+    half_delta = 0.5j * np.array([p.delta for p in drives])
+    t_ub = np.array([2.0 * math.pi / max(2.0 * p.omega, abs(p.delta)) for p in drives])
 
-    def signal(t: float) -> float:
-        amp = complex(expm_hermitian(h, t)[2] @ bright)
-        return (cmath.exp(0.5j * p.delta * t) * amp).imag
+    def signal(t: np.ndarray, k) -> np.ndarray:
+        amp = (expm_hermitian(h[k], t)[:, 2:3, :] @ bright[k])[:, 0, 0]
+        return (np.exp(half_delta[k] * t) * amp).imag
 
-    t_ub = 2.0 * math.pi / max(2.0 * p.omega, abs(p.delta))
     lo = 0.5 * t_ub
     hi = t_ub * (1.0 + 1e-9)  # nudge past the root when delta = 0 lands t_ub on it
-    f_lo = signal(lo)
+    f_lo = signal(lo, slice(None))
     for _ in range(200):
-        if hi - lo < 1e-13 * t_ub:
+        active = np.flatnonzero(hi - lo >= 1e-13 * t_ub)
+        if active.size == 0:
             break
-        mid = 0.5 * (lo + hi)
-        f_mid = signal(mid)
-        if (f_mid < 0.0) == (f_lo < 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
+        mid = 0.5 * (lo[active] + hi[active])
+        f_mid = signal(mid, active)
+        same = (f_mid < 0.0) == (f_lo[active] < 0.0)
+        lo[active[same]] = mid[same]
+        f_lo[active[same]] = f_mid[same]
+        hi[active[~same]] = mid[~same]
     return 0.5 * (lo + hi)
+
+
+def find_cyclic_time(p: LambdaParams) -> float:
+    """Smallest t > 0 with <e|exp(-i H t)|b> = 0; see :func:`_cyclic_times`."""
+    return float(_cyclic_times([p])[0])
 
 
 @dataclass(frozen=True)
@@ -233,11 +259,12 @@ def _random_case(rng: np.random.Generator, max_spins: int):
 
 
 def kraus_unitaries(ch: HolonomicChannel) -> np.ndarray:
-    """Block propagators U_m of a scalar-gamma channel, shape (N+1, 3, 3)."""
+    """U_m = exp(-i (H' + gamma m |e><e|) tau0) of a scalar-gamma channel, shape (N+1, 3, 3)."""
     if np.ndim(ch.gamma):
         raise ValueError("dense Kraus matrices need a scalar-gamma channel")
-    shifts = ch.effective.delta + ch.gamma * ch.bath.occupations()
-    return np.stack([propagator(ch.effective, float(shift), ch.params.tau0) for shift in shifts])
+    h = np.repeat(raw_error_hamiltonian(ch.effective, ErrorParams())[None], ch.bath.n_spins + 1, 0)
+    h[:, 2, 2] += ch.gamma * ch.bath.occupations()
+    return expm_hermitian(h, ch.params.tau0)
 
 
 def kraus_matrices(ch: HolonomicChannel) -> np.ndarray:
@@ -275,6 +302,10 @@ def run_validation_suite(
     """
     if cases < 1:
         raise ValueError(f"cases must be at least 1, got {cases}")
+    if cases > MAX_VALIDATION_CASES:
+        raise ValueError(
+            f"cases must be at most MAX_VALIDATION_CASES = {MAX_VALIDATION_CASES}, got {cases}"
+        )
     if max_spins < 1:
         raise ValueError(f"max_spins must be at least 1, got {max_spins}")
     max_spins = min(max_spins, BRUTE_FORCE_MAX_COLLAPSED)
@@ -309,25 +340,34 @@ def run_validation_suite(
         rho_prod = full_evolution(p, e, bath, gamma, state, basis="product")
         worst_collapse = max(worst_collapse, trace_distance(rho_col, rho_prod))
 
-    worst_propagator = 0.0
+    # Each drive runs for the cyclic time tau0 of an ideal drive with gap
+    # 2*pi/tau0, which is all the closed form assumes of its last arguments.
+    drives, shifts, tau0s = [], [], []
     for _ in range(max(50, 5 * cases)):
-        p = LambdaParams(
+        drives.append(LambdaParams(
             omega=rng.uniform(1e-3, 10.0),
             delta=rng.uniform(-10.0, 10.0),
             theta=rng.uniform(0.0, math.pi),
             phi=rng.uniform(0.0, 2.0 * math.pi),
-        )
-        shift = rng.uniform(-10.0, 10.0)
-        t = p.tau0 * rng.uniform(0.2, 3.0)
-        closed = propagator(p, shift, t)
-        dense = expm_hermitian(sub_hamiltonian(p, shift), t)
-        worst_propagator = max(worst_propagator, np.max(np.abs(closed - dense)))
+        ))
+        shifts.append(rng.uniform(-10.0, 10.0))
+        tau0s.append(drives[-1].tau0 * rng.uniform(0.2, 3.0))
+    h = np.stack([raw_error_hamiltonian(p, ErrorParams()) for p in drives])
+    h[:, 2, 2] = shifts
+    bright = np.stack([_bright_ket(p) for p in drives])
+    u = expm_hermitian(h, np.array(tau0s))
+    dense = np.einsum("ki,kij,kj->k", bright.conj(), u, bright)
+    closed = np.array([
+        bright_survival_amplitude(p.omega, shift, t, 2.0 * math.pi / t)
+        for p, shift, t in zip(drives, shifts, tau0s)
+    ])
+    worst_survival = float(np.max(np.abs(closed - dense)))
 
-    worst_cyclic = 0.0
-    for _ in range(max(10, cases // 4)):
-        p = LambdaParams(omega=rng.uniform(0.05, 10.0), delta=rng.uniform(-10.0, 10.0))
-        found = find_cyclic_time(p)
-        worst_cyclic = max(worst_cyclic, abs(found - p.tau0))
+    cyclic = [
+        LambdaParams(omega=rng.uniform(0.05, 10.0), delta=rng.uniform(-10.0, 10.0))
+        for _ in range(max(10, cases // 4))
+    ]
+    worst_cyclic = float(np.max(np.abs(_cyclic_times(cyclic) - [p.tau0 for p in cyclic])))
 
     return [
         CheckResult("channel vs full evolution (trace distance)", worst_channel, 1e-10),
@@ -335,6 +375,6 @@ def run_validation_suite(
         CheckResult("Kraus completeness", worst_complete, 1e-12),
         CheckResult("Kraus unitality", worst_unital, 1e-12),
         CheckResult("fidelity kernel vs dense Kraus fidelity", worst_fidelity, 1e-12),
-        CheckResult("closed-form propagator vs dense exponential", worst_propagator, 1e-10),
+        CheckResult("bright survival amplitude vs dense exponential", worst_survival, 1e-10),
         CheckResult("cyclic-time search vs 2*pi/delta0", worst_cyclic, 1e-9),
     ]

@@ -5,8 +5,10 @@ import sys
 import pytest
 
 import holobath
+import holobath.channel as channel_mod
 from holobath import cli
 from holobath.error_model import ErrorParams
+from holobath.reference import MAX_VALIDATION_CASES
 
 
 def run_cli(args):
@@ -87,6 +89,16 @@ class TestFidelityCommand:
         assert "vartheta_rad,fidelity" in out
         assert "F_av (n=5)" in out
         assert "beta*alpha=2.291470" in out
+
+    def test_runs_the_fidelity_kernel_once(self, capsys, monkeypatch):
+        # The average is taken from the printed table, not from a second run.
+        calls = []
+        kernel = channel_mod._fidelity
+        monkeypatch.setattr(channel_mod, "_fidelity",
+                            lambda *args: calls.append(args) or kernel(*args))
+        code = run_cli(["fidelity", "--eps-kappa", "0.1", "--gamma-ns-inv", "2.8"])
+        assert code == 0
+        assert len(calls) == 1
 
     def test_zero_coupling_zero_errors_is_unity(self, capsys):
         code = run_cli(["fidelity", "--n-states", "4"])
@@ -246,6 +258,13 @@ class TestValidateCommand:
         assert code == 1
         assert "[PASS]" not in captured.out
         assert "error:" in captured.err and "cases" in captured.err
+
+    def test_rejects_cases_over_the_cap(self, capsys):
+        code = run_cli(["validate", "--cases", str(MAX_VALIDATION_CASES + 1)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: cases must be at most MAX_VALIDATION_CASES")
 
     @pytest.mark.parametrize("max_spins", ["0", "-2"])
     def test_rejects_max_spins_below_one(self, capsys, max_spins):

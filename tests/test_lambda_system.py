@@ -7,15 +7,14 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from holobath.error_model import ErrorParams
 from holobath.lambda_system import (
-    KET_E,
     LambdaParams,
     bright_dark_states,
     bright_survival_amplitude,
     ideal_gate,
-    propagator,
-    sub_hamiltonian,
 )
+from holobath.reference import expm_hermitian, raw_error_hamiltonian
 
 from conftest import assert_unitary
 
@@ -25,9 +24,23 @@ rabi = st.floats(1e-3, 10.0)
 detunings = st.floats(-10.0, 10.0)
 
 
+KET_E = np.array([0.0, 0.0, 1.0], dtype=complex)
+
+
 def dense_propagator(h, t):
     """Independent reference: scipy's Pade scaling-and-squaring exponential."""
     return scipy.linalg.expm(-1j * np.asarray(h) * t)
+
+
+def sub_hamiltonian(p, effective_detuning):
+    """Drive Hamiltonian D|e><e| + omega(|e><b| + |b><e|) of one bath level.
+
+    Built as the dense oracles build it: the error-free drive with its
+    detuning replaced by D = delta + gamma*m.
+    """
+    h = raw_error_hamiltonian(p, ErrorParams())
+    h[2, 2] = effective_detuning
+    return h
 
 
 class TestLambdaParams:
@@ -96,6 +109,8 @@ class TestBrightDarkStates:
 
 
 class TestSubHamiltonian:
+    """The drive Hamiltonian the dense oracles exponentiate agrees with the bright/dark pair."""
+
     def test_theta_pi_couples_only_level_zero(self):
         p = LambdaParams(omega=1.3, delta=0.0, theta=math.pi, phi=0.0)
         h = sub_hamiltonian(p, 0.0)
@@ -119,58 +134,60 @@ class TestSubHamiltonian:
         expected = np.sort([0.0, 1.0 - math.sqrt(2.0), 1.0 + math.sqrt(2.0)])
         np.testing.assert_allclose(eigvals, expected, atol=1e-12)
 
-    def test_hermitian(self):
-        p = LambdaParams(omega=1.0, delta=2.0, theta=1.1, phi=0.9)
-        h = sub_hamiltonian(p, -3.7)
-        np.testing.assert_allclose(h, h.conj().T, atol=1e-15)
-
 
 class TestPropagator:
+    """The dense propagator exp(-i H_D t) of one bath level, as the oracles build it."""
+
     def test_identity_at_time_zero(self):
         p = LambdaParams(omega=1.0, delta=2.0, theta=0.8, phi=0.3)
-        np.testing.assert_allclose(propagator(p, 5.0, 0.0), np.eye(3), atol=1e-15)
+        u = expm_hermitian(sub_hamiltonian(p, 5.0), 0.0)
+        np.testing.assert_allclose(u, np.eye(3), atol=1e-15)
 
     def test_error_free_cycle_is_the_ideal_gate(self, params):
-        u = propagator(params, params.delta, params.tau0)
+        u = expm_hermitian(sub_hamiltonian(params, params.delta), params.tau0)
         np.testing.assert_allclose(u, ideal_gate(params), atol=1e-12)
 
     def test_shifted_detuning_against_dense_exponential(self, params):
         # omega=1, delta=2 shifted to D=3 over one ideal cycle; the survival
         # amplitude must come out as e^{-i 3 tau0/2} (cos(pi sqrt(13/8))
-        # + i (3/sqrt(13)) sin(pi sqrt(13/8))).
+        # + i (3/sqrt(13)) sin(pi sqrt(13/8))), in closed form and from both
+        # dense exponentials.
         t = params.tau0
-        u = propagator(params, 3.0, t)
+        u = expm_hermitian(sub_hamiltonian(params, 3.0), t)
         u_ref = dense_propagator(sub_hamiltonian(params, 3.0), t)
         np.testing.assert_allclose(u, u_ref, atol=1e-12)
         _, b = bright_dark_states(params)
-        amp = complex(b.conj() @ u @ b)
         angle = math.pi * math.sqrt(13.0 / 8.0)
         expected = cmath.exp(-1.5j * t) * (math.cos(angle) + 1j * (3.0 / math.sqrt(13.0)) * math.sin(angle))
-        assert amp == pytest.approx(expected, abs=1e-12)
+        assert complex(b.conj() @ u @ b) == pytest.approx(expected, abs=1e-12)
+        closed = bright_survival_amplitude(params.omega, 3.0, params.tau0, params.delta0)
+        assert closed == pytest.approx(expected, abs=1e-12)
 
     @given(omega=rabi, delta=detunings, shift=detunings, theta=angles_theta, phi=angles_phi,
            scale=st.floats(0.1, 3.0))
     @settings(max_examples=150, deadline=None)
     def test_unitary(self, omega, delta, shift, theta, phi, scale):
         p = LambdaParams(omega=omega, delta=delta, theta=theta, phi=phi)
-        u = propagator(p, shift, scale * p.tau0)
+        u = expm_hermitian(sub_hamiltonian(p, shift), scale * p.tau0)
         assert_unitary(u)
 
-    @given(omega=rabi, delta=detunings, shift=detunings)
+    @given(omega=rabi, shift=detunings)
     @settings(max_examples=100, deadline=None)
-    def test_matches_dense_exponential(self, omega, delta, shift):
-        # Evaluated over one reference cycle: at huge t the comparison is
-        # limited by phase roundoff in either method, not by correctness.
-        p = LambdaParams(omega=omega, delta=delta, theta=1.0, phi=2.0)
-        t = 0.7 * LambdaParams(omega=1.0, delta=2.0).tau0
-        u = propagator(p, shift, t)
-        u_ref = dense_propagator(sub_hamiltonian(p, shift), t)
-        assert np.max(np.abs(u - u_ref)) < 1e-12
+    def test_matches_dense_exponential(self, omega, shift):
+        # The closed-form survival amplitude against scipy's Pade exponential,
+        # an algorithm independent of both the closed form and the oracles.
+        ideal = LambdaParams(omega=1.0, delta=2.0)
+        p = LambdaParams(omega=omega, delta=ideal.delta, theta=1.0, phi=2.0)
+        amp = bright_survival_amplitude(omega, shift, ideal.tau0, ideal.delta0)
+        _, b = bright_dark_states(p)
+        u_ref = dense_propagator(sub_hamiltonian(p, shift), ideal.tau0)
+        assert abs(amp - b.conj() @ u_ref @ b) < 1e-12
 
     def test_leaves_dark_state_invariant(self):
         p = LambdaParams(omega=2.0, delta=-1.0, theta=2.0, phi=4.0)
         d, _ = bright_dark_states(p)
-        np.testing.assert_allclose(propagator(p, 3.3, 1.7) @ d, d, atol=1e-14)
+        u = expm_hermitian(sub_hamiltonian(p, 3.3), 1.7)
+        np.testing.assert_allclose(u @ d, d, atol=1e-14)
 
     @given(omega=rabi, delta=detunings, theta=angles_theta, phi=angles_phi)
     @settings(max_examples=100, deadline=None)
@@ -179,7 +196,7 @@ class TestPropagator:
         # no leakage amplitude to the excited level.
         p = LambdaParams(omega=omega, delta=delta, theta=theta, phi=phi)
         _, b = bright_dark_states(p)
-        u = propagator(p, p.delta, p.tau0)
+        u = expm_hermitian(sub_hamiltonian(p, p.delta), p.tau0)
         assert abs(KET_E.conj() @ u @ b) < 1e-12
 
 
@@ -199,7 +216,7 @@ class TestSurvivalAmplitude:
         p = LambdaParams(omega=omega, delta=ideal.delta, theta=0.9, phi=5.1)
         amp = bright_survival_amplitude(omega, shift, ideal.tau0, ideal.delta0)
         _, b = bright_dark_states(p)
-        u = propagator(p, shift, ideal.tau0)
+        u = expm_hermitian(sub_hamiltonian(p, shift), ideal.tau0)
         assert abs(amp - b.conj() @ u @ b) < 1e-12
 
     def test_vectorized_over_detunings(self, params):

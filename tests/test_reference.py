@@ -1,4 +1,6 @@
+import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,10 +10,12 @@ from hypothesis import strategies as st
 
 from holobath.channel import InputState, build_channel
 from holobath.error_model import ErrorParams
-from holobath.lambda_system import LambdaParams
+from holobath.lambda_system import LambdaParams, bright_dark_states
 from holobath.reference import (
     BRUTE_FORCE_MAX_COLLAPSED,
     BRUTE_FORCE_MAX_PRODUCT,
+    MAX_VALIDATION_CASES,
+    _cyclic_times,
     _input_ket,
     channel_output_state,
     expm_hermitian,
@@ -29,6 +33,30 @@ from holobath.spin_bath import SpinBath
 def random_hermitian(rng, dim):
     raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return 0.5 * (raw + raw.conj().T)
+
+
+def scalar_cyclic_time(p):
+    """The cyclic-time bisection for one drive in scalar arithmetic, as a reference."""
+    h = raw_error_hamiltonian(p, ErrorParams())
+    _, bright = bright_dark_states(p)
+
+    def signal(t):
+        amp = complex(expm_hermitian(h, t)[2] @ bright)
+        return (cmath.exp(0.5j * p.delta * t) * amp).imag
+
+    t_ub = 2.0 * math.pi / max(2.0 * p.omega, abs(p.delta))
+    lo, hi = 0.5 * t_ub, t_ub * (1.0 + 1e-9)
+    f_lo = signal(lo)
+    for _ in range(200):
+        if hi - lo < 1e-13 * t_ub:
+            break
+        mid = 0.5 * (lo + hi)
+        f_mid = signal(mid)
+        if (f_mid < 0.0) == (f_lo < 0.0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 class TestExpmHermitian:
@@ -60,6 +88,28 @@ class TestExpmHermitian:
         bad = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match="Hermitian"):
             expm_hermitian(bad, 1.0)
+
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 3, 5, 27, 39]),
+           count=st.integers(1, 6), per_matrix_times=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_stack_equals_per_matrix_calls(self, seed, dim, count, per_matrix_times):
+        rng = np.random.default_rng(seed)
+        stack = np.stack([random_hermitian(rng, dim) for _ in range(count)])
+        times = rng.uniform(0.0, 5.0, count) if per_matrix_times else 0.9
+        stacked = expm_hermitian(stack, times)
+        for k in range(count):
+            single = expm_hermitian(stack[k], times[k] if per_matrix_times else times)
+            assert np.array_equal(stacked[k], single)
+
+    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(2, 6), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_rejects_stack_with_one_non_hermitian_member(self, seed, count, data):
+        rng = np.random.default_rng(seed)
+        stack = np.stack([random_hermitian(rng, 3) for _ in range(count)])
+        bad = data.draw(st.integers(0, count - 1))
+        stack[bad, 0, 1] += 1e-6
+        with pytest.raises(ValueError, match="Hermitian"):
+            expm_hermitian(stack, 1.0)
 
 
 class TestRawErrorHamiltonian:
@@ -193,6 +243,18 @@ class TestFindCyclicTime:
         p = LambdaParams(omega=omega, delta=delta)
         assert abs(find_cyclic_time(p) - p.tau0) < 1e-9
 
+    @given(drives=st.lists(
+        st.builds(LambdaParams, omega=st.floats(0.05, 10.0), delta=st.floats(-10.0, 10.0),
+                  theta=st.floats(0.0, math.pi), phi=st.floats(0.0, 2.0 * math.pi)),
+        min_size=1, max_size=8,
+    ))
+    @settings(max_examples=40, deadline=None)
+    def test_lockstep_equals_per_drive_search(self, drives):
+        # Each drive bisects through its own midpoints whatever shares the stack.
+        together = [float(t) for t in _cyclic_times(drives)]
+        assert together == [find_cyclic_time(p) for p in drives]
+        assert together == [scalar_cyclic_time(p) for p in drives]
+
 
 class TestValidationSuite:
     def test_all_checks_pass(self):
@@ -200,3 +262,13 @@ class TestValidationSuite:
         assert len(checks) == 7
         for check in checks:
             assert check.passed, f"{check.name}: worst={check.worst:.3e}"
+
+    def test_rejects_cases_over_the_cap_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="MAX_VALIDATION_CASES"):
+                run_validation_suite(cases=MAX_VALIDATION_CASES + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
