@@ -12,72 +12,24 @@ references.
 
 __version__ = "0.1.0"
 
-from .channel import (
-    HolonomicChannel,
-    InputState,
-    average_fidelity,
-    build_channel,
-    fidelity_curve,
-    state_fidelity,
-)
-from .error_model import ErrorParams, apply_errors
-from .lambda_system import (
-    LambdaParams,
-    bright_dark_states,
-    bright_survival_amplitude,
-    ideal_gate,
-)
-from .reference import (
-    expm_hermitian,
-    find_cyclic_time,
-    full_evolution,
-    run_validation_suite,
-    trace_distance,
-)
-from .spin_bath import (
-    KB_OVER_HBAR_NS_INV_PER_K,
-    SpinBath,
-    beta_from_temperature,
-    thermal_weights,
-)
-from .sweep import (
-    CurveOptimum,
-    GammaGrid,
-    SweepConfig,
-    SweepResult,
-    optimize_gamma,
-    reproduce,
-    run_sweep,
-)
+from .channel import average_fidelity, build_channel
+from .error_model import ErrorParams
+from .lambda_system import LambdaParams
+from .reference import run_validation_suite
+from .spin_bath import SpinBath
+from .sweep import GammaGrid, SweepConfig, optimize_gamma, reproduce, run_sweep
 
 __all__ = [
     "__version__",
     "LambdaParams",
-    "bright_dark_states",
-    "bright_survival_amplitude",
-    "ideal_gate",
     "ErrorParams",
-    "apply_errors",
     "SpinBath",
-    "KB_OVER_HBAR_NS_INV_PER_K",
-    "beta_from_temperature",
-    "thermal_weights",
-    "InputState",
-    "HolonomicChannel",
     "build_channel",
-    "state_fidelity",
     "average_fidelity",
-    "fidelity_curve",
-    "expm_hermitian",
-    "full_evolution",
-    "find_cyclic_time",
-    "trace_distance",
-    "run_validation_suite",
     "GammaGrid",
     "SweepConfig",
-    "SweepResult",
-    "CurveOptimum",
     "run_sweep",
     "optimize_gamma",
     "reproduce",
+    "run_validation_suite",
 ]

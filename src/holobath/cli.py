@@ -18,7 +18,7 @@ from . import __version__
 from .channel import _sin_weighted_average, build_channel, fidelity_curve
 from .error_model import ErrorParams
 from .lambda_system import LambdaParams
-from .reference import find_cyclic_time, run_validation_suite
+from .reference import run_validation_suite
 from .spin_bath import SpinBath
 from .sweep import (
     FIGURE_SPECS,
@@ -29,36 +29,27 @@ from .sweep import (
     run_sweep,
 )
 
-DEFAULTS = {
-    "omega_ns_inv": 1.0,
-    "delta_ns_inv": 2.0,
-    "theta_rad": math.pi / 2,
-    "phi_rad": 0.0,
-    "n_spins": 20,
-    "alpha_ps_inv": 15.0,
-    "temperature_k": 50.0,
-    "beta_ns": None,
-    "gamma_start_ns_inv": 0.0,
-    "gamma_stop_ns_inv": 8.0,
-    "gamma_step_ns_inv": 0.05,
-    "gamma_ns_inv": 0.0,
-    "n_states": 30,
-    "eps_kappa": None,
-    "epsilon0": None,
-    "epsilon1": None,
-    "zeta0_rad": None,
-    "zeta1_rad": None,
-    "kappa": None,
-    "output": None,
-}
 
-_INT_KEYS = {"n_spins", "n_states"}
-_LIST_KEYS = {"eps_kappa"}
-_STR_KEYS = {"output"}
+def _command_parsers(parser: argparse.ArgumentParser) -> dict:
+    """The subcommand parsers of ``parser``, by command name."""
+    (commands,) = (action for action in parser._actions if action.dest == "command")
+    return commands.choices
 
 
 def load_config_file(path: str) -> dict:
-    """Parse a flat ``key = value`` config file into typed option values."""
+    """Parse a flat ``key = value`` config file into typed option values.
+
+    The keys are the flags of ``sweep``, ``optimize`` and ``fidelity`` with
+    underscores; each value takes its flag's type, and the repeatable
+    ``eps_kappa`` takes a comma-separated list.
+    """
+    commands = _command_parsers(build_parser())
+    actions = {
+        action.dest: action
+        for name in ("sweep", "optimize", "fidelity")
+        for action in commands[name]._actions
+        if action.option_strings and action.dest not in ("help", "config")
+    }
     out = {}
     text = Path(path).read_text(encoding="utf-8")
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
@@ -68,129 +59,129 @@ def load_config_file(path: str) -> dict:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw_line!r}")
         key, raw = (part.strip() for part in line.split("=", 1))
-        if key not in DEFAULTS:
+        action = actions.get(key)
+        if action is None:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-        out[key] = _coerce(key, raw, where=f"{path}:{lineno}")
+        convert = action.type or str
+        try:
+            if isinstance(action, argparse._AppendAction):
+                out[key] = [convert(part) for part in raw.split(",") if part.strip()]
+            else:
+                out[key] = convert(raw)
+        except ValueError as exc:
+            raise ValueError(
+                f"{path}:{lineno}: cannot parse {key} value {raw!r}: {exc}"
+            ) from exc
     return out
 
 
-def _coerce(key: str, raw: str, where: str):
-    try:
-        if key in _STR_KEYS:
-            return raw
-        if key in _LIST_KEYS:
-            return [float(part) for part in raw.split(",") if part.strip()]
-        if key in _INT_KEYS:
-            return int(raw)
-        return float(raw)
-    except ValueError as exc:
-        raise ValueError(f"{where}: cannot parse {key} value {raw!r}: {exc}") from exc
+def parse_args(argv=None) -> argparse.Namespace:
+    """Parse a command line, taking the options it leaves out from ``--config``.
+
+    An explicit flag wins over the file, which wins over the parser default.
+    ``--eps-kappa`` appends to its default, so the file's list is applied
+    only when the command line has no ``--eps-kappa``: the flag replaces it.
+    """
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if not getattr(args, "config", None):
+        return args
+    values = load_config_file(args.config)
+    eps_kappa = values.pop("eps_kappa", None)
+    _command_parsers(parser)[args.command].set_defaults(**values)
+    args = parser.parse_args(argv)
+    if args.eps_kappa is None:
+        args.eps_kappa = eps_kappa
+    return args
 
 
-def gather_options(args: argparse.Namespace) -> dict:
-    """Merge defaults, config file and explicit flags (in that precedence)."""
-    merged = dict(DEFAULTS)
-    config_path = getattr(args, "config", None)
-    if config_path:
-        merged.update(load_config_file(config_path))
-    for key in DEFAULTS:
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
-    return merged
-
-
-def build_params(opts: dict) -> LambdaParams:
+def build_params(args: argparse.Namespace) -> LambdaParams:
     return LambdaParams(
-        omega=opts["omega_ns_inv"],
-        delta=opts["delta_ns_inv"],
-        theta=opts["theta_rad"],
-        phi=opts["phi_rad"],
+        omega=args.omega_ns_inv,
+        delta=args.delta_ns_inv,
+        theta=args.theta_rad,
+        phi=args.phi_rad,
     )
 
 
-def build_bath(opts: dict) -> SpinBath:
-    alpha = opts["alpha_ps_inv"] * 1000.0  # ps^-1 -> ns^-1
-    if opts["beta_ns"] is not None:
-        return SpinBath(n_spins=opts["n_spins"], alpha=alpha, beta=opts["beta_ns"])
-    return SpinBath.from_temperature(opts["n_spins"], alpha, opts["temperature_k"])
+def build_bath(args: argparse.Namespace) -> SpinBath:
+    alpha = args.alpha_ps_inv * 1000.0  # ps^-1 -> ns^-1
+    if args.beta_ns is not None:
+        return SpinBath(n_spins=args.n_spins, alpha=alpha, beta=args.beta_ns)
+    return SpinBath.from_temperature(args.n_spins, alpha, args.temperature_k)
 
 
-def build_error_settings(opts: dict) -> tuple[ErrorParams, ...]:
-    individual = [opts[key] for key in ("epsilon0", "epsilon1", "zeta0_rad", "zeta1_rad", "kappa")]
-    if opts["eps_kappa"] is not None:
+def build_error_settings(args: argparse.Namespace) -> tuple[ErrorParams, ...]:
+    individual = [args.epsilon0, args.epsilon1, args.zeta0_rad, args.zeta1_rad, args.kappa]
+    if args.eps_kappa is not None:
         if any(value is not None for value in individual):
             raise ValueError("--eps-kappa cannot be combined with individual error flags")
-        return tuple(ErrorParams.symmetric(value) for value in opts["eps_kappa"])
+        return tuple(ErrorParams.symmetric(value) for value in args.eps_kappa)
     if any(value is not None for value in individual):
         return (
             ErrorParams(
-                epsilon0=opts["epsilon0"] or 0.0,
-                epsilon1=opts["epsilon1"] or 0.0,
-                zeta0=opts["zeta0_rad"] or 0.0,
-                zeta1=opts["zeta1_rad"] or 0.0,
-                kappa=opts["kappa"] or 0.0,
+                epsilon0=args.epsilon0 or 0.0,
+                epsilon1=args.epsilon1 or 0.0,
+                zeta0=args.zeta0_rad or 0.0,
+                zeta1=args.zeta1_rad or 0.0,
+                kappa=args.kappa or 0.0,
             ),
         )
     return (ErrorParams(),)
 
 
-def build_sweep_config(opts: dict) -> SweepConfig:
+def build_sweep_config(args: argparse.Namespace) -> SweepConfig:
     return SweepConfig(
-        params=build_params(opts),
-        error_settings=build_error_settings(opts),
-        bath=build_bath(opts),
-        grid=GammaGrid(
-            opts["gamma_start_ns_inv"], opts["gamma_stop_ns_inv"], opts["gamma_step_ns_inv"]
-        ),
-        n_states=opts["n_states"],
+        params=build_params(args),
+        error_settings=build_error_settings(args),
+        bath=build_bath(args),
+        grid=GammaGrid(args.gamma_start_ns_inv, args.gamma_stop_ns_inv, args.gamma_step_ns_inv),
+        n_states=args.n_states,
     )
 
 
 def _add_physics_flags(parser: argparse.ArgumentParser, grid: bool = True) -> None:
     group = parser.add_argument_group("physics")
     group.add_argument("--config", help="flat key = value config file")
-    group.add_argument("--omega-ns-inv", type=float, dest="omega_ns_inv",
-                       help="Rabi amplitude (ns^-1, default 1)")
-    group.add_argument("--delta-ns-inv", type=float, dest="delta_ns_inv",
-                       help="detuning (ns^-1, default 2)")
-    group.add_argument("--theta-rad", type=float, dest="theta_rad",
+    group.add_argument("--omega-ns-inv", type=float, default=1.0,
+                       help="Rabi amplitude (ns^-1, default %(default)g)")
+    group.add_argument("--delta-ns-inv", type=float, default=2.0,
+                       help="detuning (ns^-1, default %(default)g)")
+    group.add_argument("--theta-rad", type=float, default=math.pi / 2,
                        help="mixing angle (rad, default pi/2)")
-    group.add_argument("--phi-rad", type=float, dest="phi_rad",
-                       help="relative pulse phase (rad, default 0)")
-    group.add_argument("--n-spins", type=int, dest="n_spins",
-                       help="bath size N (default 20)")
-    group.add_argument("--alpha-ps-inv", type=float, dest="alpha_ps_inv",
-                       help="bath level splitting (ps^-1, default 15)")
-    group.add_argument("--temperature-k", type=float, dest="temperature_k",
-                       help="bath temperature (K, default 50)")
-    group.add_argument("--beta-ns", type=float, dest="beta_ns",
+    group.add_argument("--phi-rad", type=float, default=0.0,
+                       help="relative pulse phase (rad, default %(default)g)")
+    group.add_argument("--n-spins", type=int, default=20,
+                       help="bath size N (default %(default)d)")
+    group.add_argument("--alpha-ps-inv", type=float, default=15.0,
+                       help="bath level splitting (ps^-1, default %(default)g)")
+    group.add_argument("--temperature-k", type=float, default=50.0,
+                       help="bath temperature (K, default %(default)g)")
+    group.add_argument("--beta-ns", type=float,
                        help="inverse temperature (ns); overrides --temperature-k")
-    group.add_argument("--n-states", type=int, dest="n_states",
-                       help="input states in the fidelity average (default 30)")
+    group.add_argument("--n-states", type=int, default=30,
+                       help="input states in the fidelity average (default %(default)d)")
     errors = parser.add_argument_group("error settings")
-    errors.add_argument("--eps-kappa", type=float, action="append", dest="eps_kappa",
-                        metavar="VALUE",
+    errors.add_argument("--eps-kappa", type=float, action="append", metavar="VALUE",
                         help="symmetric setting epsilon0=epsilon1=kappa=VALUE; repeatable "
                              "for multi-curve runs")
-    errors.add_argument("--epsilon0", type=float, dest="epsilon0",
+    errors.add_argument("--epsilon0", type=float,
                         help="relative amplitude error on the |0>-|e> drive")
-    errors.add_argument("--epsilon1", type=float, dest="epsilon1",
+    errors.add_argument("--epsilon1", type=float,
                         help="relative amplitude error on the |1>-|e> drive")
-    errors.add_argument("--zeta0-rad", type=float, dest="zeta0_rad",
+    errors.add_argument("--zeta0-rad", type=float,
                         help="phase error on the |0>-|e> drive (rad)")
-    errors.add_argument("--zeta1-rad", type=float, dest="zeta1_rad",
+    errors.add_argument("--zeta1-rad", type=float,
                         help="phase error on the |1>-|e> drive (rad)")
-    errors.add_argument("--kappa", type=float, dest="kappa",
-                        help="relative detuning error")
+    errors.add_argument("--kappa", type=float, help="relative detuning error")
     if grid:
         grp = parser.add_argument_group("gamma grid")
-        grp.add_argument("--gamma-start-ns-inv", type=float, dest="gamma_start_ns_inv",
-                         help="grid start (ns^-1, default 0)")
-        grp.add_argument("--gamma-stop-ns-inv", type=float, dest="gamma_stop_ns_inv",
-                         help="grid stop, inclusive (ns^-1, default 8)")
-        grp.add_argument("--gamma-step-ns-inv", type=float, dest="gamma_step_ns_inv",
-                         help="grid step (ns^-1, default 0.05)")
+        grp.add_argument("--gamma-start-ns-inv", type=float, default=0.0,
+                         help="grid start (ns^-1, default %(default)g)")
+        grp.add_argument("--gamma-stop-ns-inv", type=float, default=8.0,
+                         help="grid stop, inclusive (ns^-1, default %(default)g)")
+        grp.add_argument("--gamma-step-ns-inv", type=float, default=0.05,
+                         help="grid step (ns^-1, default %(default)g)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -204,7 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="evaluate F_av on a gamma grid and write CSV")
     _add_physics_flags(p_sweep)
-    p_sweep.add_argument("--output", dest="output", help="CSV output path (default sweep.csv)")
+    p_sweep.add_argument("--output", default="sweep.csv",
+                         help="CSV output path (default %(default)s)")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_opt = sub.add_parser("optimize", help="locate the optimal coupling strength")
@@ -213,8 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fid = sub.add_parser("fidelity", help="single-point F(vartheta) table and F_av")
     _add_physics_flags(p_fid, grid=False)
-    p_fid.add_argument("--gamma-ns-inv", type=float, dest="gamma_ns_inv",
-                       help="coupling strength (ns^-1, default 0)")
+    p_fid.add_argument("--gamma-ns-inv", type=float, default=0.0,
+                       help="coupling strength (ns^-1, default %(default)g)")
     p_fid.set_defaults(func=cmd_fidelity)
 
     p_rep = sub.add_parser("reproduce", help="run a baked-in figure configuration")
@@ -225,18 +217,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_val = sub.add_parser("validate", help="brute-force cross-checks of the fast paths")
     p_val.add_argument("--cases", type=int, default=40, help="random cases (default 40)")
     p_val.add_argument("--seed", type=int, default=2024)
-    p_val.add_argument("--max-spins", type=int, default=8, dest="max_spins")
+    p_val.add_argument("--max-spins", type=int, default=8)
     p_val.set_defaults(func=cmd_validate)
 
     return parser
 
 
 def cmd_sweep(args) -> int:
-    opts = gather_options(args)
-    result = run_sweep(build_sweep_config(opts))
-    path = opts["output"] or "sweep.csv"
-    result.write_csv(path)
-    print(f"wrote {path} ({result.gammas.size} grid points x {len(result.labels)} curves)")
+    result = run_sweep(build_sweep_config(args))
+    result.write_csv(args.output)
+    print(f"wrote {args.output} ({result.gammas.size} grid points x {len(result.labels)} curves)")
     for opt in result.grid_optima:
         note = "  [on grid boundary]" if opt.on_boundary else ""
         print(
@@ -247,9 +237,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    opts = gather_options(args)
-    cfg = build_sweep_config(opts)
-    for opt in optimize_gamma(cfg):
+    for opt in optimize_gamma(build_sweep_config(args)):
         note = ("  [warning: optimum on grid boundary; the true optimum may lie outside "
                 "the scanned range]") if opt.on_boundary else ""
         print(f"{opt.label}: gamma*={opt.gamma_star:.6f} ns^-1, "
@@ -258,16 +246,14 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_fidelity(args) -> int:
-    opts = gather_options(args)
-    params = build_params(opts)
-    bath = build_bath(opts)
-    settings = build_error_settings(opts)
+    params = build_params(args)
+    bath = build_bath(args)
+    settings = build_error_settings(args)
     if len(settings) != 1:
         raise ValueError("fidelity evaluates a single error setting; pass --eps-kappa once")
-    gamma = opts["gamma_ns_inv"]
-    ch = build_channel(params, settings[0], bath, gamma)
+    ch = build_channel(params, settings[0], bath, args.gamma_ns_inv)
     # Evaluate before printing, so a rejected input leaves stdout empty.
-    varthetas, values = fidelity_curve(ch, opts["n_states"])
+    varthetas, values = fidelity_curve(ch, args.n_states)
     f_av = _sin_weighted_average(varthetas, values)
     eff = ch.effective
     print(f"tau0_ns = {params.tau0:.9f}   chi_rad = {params.chi:.9f}")
@@ -275,12 +261,13 @@ def cmd_fidelity(args) -> int:
         f"effective drive: omega'={eff.omega:.6f} ns^-1, delta'={eff.delta:.6f} ns^-1, "
         f"theta'={eff.theta:.6f} rad, phi'={eff.phi:.6f} rad"
     )
-    print(f"errored cyclic time tau0'_ns = {find_cyclic_time(eff):.9f} (diagnostic)")
-    print(f"bath: N={bath.n_spins}, beta*alpha={bath.beta_alpha:.6f}, gamma={gamma:g} ns^-1")
+    print(f"errored cyclic time tau0'_ns = {eff.tau0:.9f} (diagnostic)")
+    print(f"bath: N={bath.n_spins}, beta*alpha={bath.beta_alpha:.6f}, "
+          f"gamma={args.gamma_ns_inv:g} ns^-1")
     print("vartheta_rad,fidelity")
     for vartheta, value in zip(varthetas, values):
         print(f"{vartheta:.6f},{value:.12f}")
-    print(f"F_av (n={opts['n_states']}) = {f_av:.12f}")
+    print(f"F_av (n={args.n_states}) = {f_av:.12f}")
     return 0
 
 
@@ -304,9 +291,8 @@ def cmd_validate(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parse_args(argv)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,13 +1,16 @@
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import holobath
 import holobath.channel as channel_mod
-from holobath import cli
-from holobath.error_model import ErrorParams
+from holobath import cli, reference
+from holobath.error_model import ErrorParams, apply_errors
+from holobath.lambda_system import LambdaParams
 from holobath.reference import MAX_VALIDATION_CASES
 
 
@@ -53,29 +56,111 @@ class TestConfigFile:
 
 class TestErrorSettings:
     def test_default_is_zero_errors(self):
-        settings = cli.build_error_settings(dict(cli.DEFAULTS))
+        settings = cli.build_error_settings(cli.build_parser().parse_args(["sweep"]))
         assert settings == (ErrorParams(),)
 
     def test_eps_kappa_list(self):
-        opts = dict(cli.DEFAULTS)
-        opts["eps_kappa"] = [0.1, 0.15]
-        settings = cli.build_error_settings(opts)
+        args = cli.build_parser().parse_args(["sweep", "--eps-kappa", "0.1",
+                                              "--eps-kappa", "0.15"])
+        settings = cli.build_error_settings(args)
         assert [e.epsilon0 for e in settings] == [0.1, 0.15]
         assert all(e.kappa == e.epsilon0 for e in settings)
 
     def test_individual_flags(self):
-        opts = dict(cli.DEFAULTS)
-        opts["epsilon0"] = 0.2
-        opts["kappa"] = 0.1
-        (setting,) = cli.build_error_settings(opts)
+        args = cli.build_parser().parse_args(["sweep", "--epsilon0", "0.2", "--kappa", "0.1"])
+        (setting,) = cli.build_error_settings(args)
         assert setting.epsilon0 == 0.2 and setting.epsilon1 == 0.0 and setting.kappa == 0.1
 
     def test_conflicting_flags_rejected(self):
-        opts = dict(cli.DEFAULTS)
-        opts["eps_kappa"] = [0.1]
-        opts["kappa"] = 0.3
+        args = cli.build_parser().parse_args(["sweep", "--eps-kappa", "0.1", "--kappa", "0.3"])
         with pytest.raises(ValueError, match="eps-kappa"):
-            cli.build_error_settings(opts)
+            cli.build_error_settings(args)
+
+
+# Every config key, a value that is not its default, and the commands with that flag.
+CONFIG_VALUES = [
+    ("omega_ns_inv", "1.5", ("sweep", "optimize", "fidelity")),
+    ("delta_ns_inv", "2.5", ("sweep", "optimize", "fidelity")),
+    ("theta_rad", "1.2", ("sweep", "optimize", "fidelity")),
+    ("phi_rad", "0.3", ("sweep", "optimize", "fidelity")),
+    ("n_spins", "7", ("sweep", "optimize", "fidelity")),
+    ("alpha_ps_inv", "12", ("sweep", "optimize", "fidelity")),
+    ("temperature_k", "80", ("sweep", "optimize", "fidelity")),
+    ("beta_ns", "0.004", ("sweep", "optimize", "fidelity")),
+    ("n_states", "12", ("sweep", "optimize", "fidelity")),
+    ("eps_kappa", "0.125", ("sweep", "optimize", "fidelity")),
+    ("epsilon0", "0.1", ("sweep", "optimize", "fidelity")),
+    ("epsilon1", "0.2", ("sweep", "optimize", "fidelity")),
+    ("zeta0_rad", "0.3", ("sweep", "optimize", "fidelity")),
+    ("zeta1_rad", "-0.1", ("sweep", "optimize", "fidelity")),
+    ("kappa", "0.05", ("sweep", "optimize", "fidelity")),
+    ("gamma_start_ns_inv", "1", ("sweep", "optimize")),
+    ("gamma_stop_ns_inv", "3", ("sweep", "optimize")),
+    ("gamma_step_ns_inv", "0.25", ("sweep", "optimize")),
+    ("output", "other.csv", ("sweep",)),
+    ("gamma_ns_inv", "2.8", ("fidelity",)),
+]
+
+
+class TestConfigPrecedence:
+    def test_keys_are_the_flags_of_the_config_commands(self):
+        commands = {"sweep": set(), "optimize": set(), "fidelity": set()}
+        for key, _, names in CONFIG_VALUES:
+            for name in names:
+                commands[name].add(key)
+        for name, keys in commands.items():
+            namespace = vars(cli.build_parser().parse_args([name]))
+            assert set(namespace) - {"command", "func", "config"} == keys
+
+    @pytest.mark.parametrize("key, value, commands", CONFIG_VALUES,
+                             ids=[key for key, _, _ in CONFIG_VALUES])
+    def test_file_value_equals_flag_value(self, tmp_path, key, value, commands):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        for command in commands:
+            from_file = vars(cli.parse_args([command, "--config", str(cfg)]))
+            from_flag = vars(cli.parse_args([command, f"--{key.replace('_', '-')}", value]))
+            del from_file["config"], from_flag["config"]
+            assert from_file == from_flag
+            assert from_file[key] != vars(cli.parse_args([command]))[key]
+
+    def test_flag_eps_kappa_replaces_the_file_list(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("eps_kappa = 0.1, 0.2\nn_spins = 4\ngamma_step_ns_inv = 4\n")
+        out = tmp_path / "o.csv"
+        code = run_cli(["sweep", "--config", str(cfg), "--eps-kappa", "0.3",
+                        "--output", str(out)])
+        assert code == 0
+        header = [line for line in out.read_text().splitlines() if line.startswith("gamma")]
+        assert header == ["gamma_ns_inv,f_av_eps_0.3"]
+
+    def test_fidelity_accepts_grid_keys(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("gamma_start_ns_inv = 0\ngamma_stop_ns_inv = 8\n"
+                       "gamma_step_ns_inv = 0.05\nn_states = 4\n")
+        assert run_cli(["fidelity", "--config", str(cfg)]) == 0
+        assert "F_av (n=4) = 1.000000000000" in capsys.readouterr().out
+
+    def test_optimize_accepts_output(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"output = {tmp_path / 'unused.csv'}\nn_spins = 4\n"
+                       "gamma_stop_ns_inv = 1\ngamma_step_ns_inv = 0.5\n")
+        assert run_cli(["optimize", "--config", str(cfg)]) == 0
+        assert "gamma*=0.000000" in capsys.readouterr().out
+        assert not (tmp_path / "unused.csv").exists()
+
+    def test_readme_example(self, tmp_path, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        (block,) = re.findall(r"```\n(# run\.cfg\n.*?)```", readme, re.DOTALL)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(block)
+        out = tmp_path / "o.csv"
+        code = run_cli(["sweep", "--config", str(cfg), "--gamma-step-ns-inv", "2",
+                        "--output", str(out)])
+        assert code == 0
+        rows = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+        assert rows[0] == "gamma_ns_inv,f_av_eps_0.1,f_av_eps_0.15,f_av_eps_0.2"
+        assert [row.split(",")[0] for row in rows[1:]] == ["0", "2", "4", "6", "8"]
 
 
 class TestFidelityCommand:
@@ -99,6 +184,23 @@ class TestFidelityCommand:
         code = run_cli(["fidelity", "--eps-kappa", "0.1", "--gamma-ns-inv", "2.8"])
         assert code == 0
         assert len(calls) == 1
+
+    def test_cyclic_time_runs_no_oracle(self, capsys, monkeypatch):
+        # The line prints the errored drive's closed-form tau0, which validate
+        # checks against the bisection search; the search itself never runs.
+        errored = apply_errors(LambdaParams(omega=1.0, delta=2.0),
+                               ErrorParams(epsilon0=0.2, epsilon1=0.15, zeta0=0.3, kappa=0.18))
+        expected = (f"errored cyclic time tau0'_ns = "
+                    f"{reference.find_cyclic_time(errored):.9f} (diagnostic)")
+
+        def refuse(drives):
+            raise AssertionError("holobath fidelity ran the cyclic-time search")
+
+        monkeypatch.setattr(reference, "_cyclic_times", refuse)
+        code = run_cli(["fidelity", "--epsilon0", "0.2", "--epsilon1", "0.15",
+                        "--zeta0-rad", "0.3", "--kappa", "0.18", "--gamma-ns-inv", "2.8"])
+        assert code == 0
+        assert expected in capsys.readouterr().out.splitlines()
 
     def test_zero_coupling_zero_errors_is_unity(self, capsys):
         code = run_cli(["fidelity", "--n-states", "4"])
@@ -198,6 +300,13 @@ class TestSweepCommand:
         )
         assert code == 1
         assert "out.csv" in capsys.readouterr().err
+
+    def test_empty_output_path_is_an_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code = run_cli(["sweep", "--n-spins", "2", "--gamma-stop-ns-inv", "0", "--output", ""])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestKernelSizeCap:
