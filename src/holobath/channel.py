@@ -51,12 +51,14 @@ __all__ = [
     "fidelity_curve",
     "vartheta_grid",
     "MAX_KERNEL_ELEMENTS",
+    "N_INPUT_STATES",
 ]
 
+N_INPUT_STATES = 30  # vartheta points of the F_av average unless a caller asks for others
 # The largest kernel arrays are (len(gamma), N+1) in build_channel, about 72
 # bytes per element at its peak, and (len(gamma), n_states) in the fidelity
 # kernel, about 25.  3e6 elements (near 220 MB) admit a MAX_GRID_POINTS grid
-# with the largest figure bath, N = 28, and the default 30 input states.
+# with the largest figure bath, N = 28, and N_INPUT_STATES input states.
 MAX_KERNEL_ELEMENTS = 3_000_000
 
 
@@ -174,7 +176,8 @@ def vartheta_grid(n_states: int) -> np.ndarray:
     return np.arange(n_states) * (math.pi / (n_states - 1))
 
 
-def fidelity_curve(ch: HolonomicChannel, n_states: int = 30) -> tuple[np.ndarray, np.ndarray]:
+def fidelity_curve(ch: HolonomicChannel,
+                   n_states: int = N_INPUT_STATES) -> tuple[np.ndarray, np.ndarray]:
     """(vartheta_k, F(vartheta_k)) over the equidistant input-state grid (xi = 0).
 
     For a gamma-array channel the values have shape (len(gamma), n_states).
@@ -186,7 +189,7 @@ def fidelity_curve(ch: HolonomicChannel, n_states: int = 30) -> tuple[np.ndarray
     return varthetas, _fidelity(ch, varthetas)
 
 
-def average_fidelity(ch: HolonomicChannel, n_states: int = 30) -> float | np.ndarray:
+def average_fidelity(ch: HolonomicChannel, n_states: int = N_INPUT_STATES) -> float | np.ndarray:
     """sin-weighted average of F over n_states equidistant vartheta values.
 
     A float for a scalar-gamma channel, one average per gamma otherwise.

@@ -2,25 +2,30 @@
 
 Every physical quantity carries its unit in the flag name (``--omega-ns-inv``,
 ``--alpha-ps-inv``, ``--temperature-k``) to keep the mixed ns/ps scales
-honest.  Flags may also be supplied through a flat ``key = value`` config file
-(same names with underscores, ``#`` comments); explicit flags win over the
-file, which wins over the built-in defaults.
+honest.  Flags may also come from a flat ``key = value`` config file (same
+names with underscores; a ``#`` at the start of a line or after whitespace
+starts a comment).  Explicit flags win over the file, which wins over the
+defaults: the fig1_left configuration of :mod:`holobath.sweep`, zero errors.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
+import inspect
+import re
 import sys
 from pathlib import Path
 
 from . import __version__
-from .channel import _sin_weighted_average, build_channel, fidelity_curve
+from .channel import N_INPUT_STATES, _sin_weighted_average, build_channel, fidelity_curve
 from .error_model import ErrorParams
 from .lambda_system import LambdaParams
 from .reference import run_validation_suite
 from .spin_bath import SpinBath
 from .sweep import (
+    FIGURE_ALPHA_NS_INV,
+    FIGURE_GRID,
+    FIGURE_PARAMS,
     FIGURE_SPECS,
     GammaGrid,
     SweepConfig,
@@ -53,7 +58,7 @@ def load_config_file(path: str) -> dict:
     out = {}
     text = Path(path).read_text(encoding="utf-8")
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.split("#", 1)[0].strip()
+        line = re.split(r"(?:^|\s)#", raw_line, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -112,22 +117,14 @@ def build_bath(args: argparse.Namespace) -> SpinBath:
 
 
 def build_error_settings(args: argparse.Namespace) -> tuple[ErrorParams, ...]:
-    individual = [args.epsilon0, args.epsilon1, args.zeta0_rad, args.zeta1_rad, args.kappa]
+    individual = {"epsilon0": args.epsilon0, "epsilon1": args.epsilon1,
+                  "zeta0": args.zeta0_rad, "zeta1": args.zeta1_rad, "kappa": args.kappa}
+    given = {name: value for name, value in individual.items() if value is not None}
     if args.eps_kappa is not None:
-        if any(value is not None for value in individual):
+        if given:
             raise ValueError("--eps-kappa cannot be combined with individual error flags")
         return tuple(ErrorParams.symmetric(value) for value in args.eps_kappa)
-    if any(value is not None for value in individual):
-        return (
-            ErrorParams(
-                epsilon0=args.epsilon0 or 0.0,
-                epsilon1=args.epsilon1 or 0.0,
-                zeta0=args.zeta0_rad or 0.0,
-                zeta1=args.zeta1_rad or 0.0,
-                kappa=args.kappa or 0.0,
-            ),
-        )
-    return (ErrorParams(),)
+    return (ErrorParams(**given),)
 
 
 def build_sweep_config(args: argparse.Namespace) -> SweepConfig:
@@ -141,25 +138,26 @@ def build_sweep_config(args: argparse.Namespace) -> SweepConfig:
 
 
 def _add_physics_flags(parser: argparse.ArgumentParser, grid: bool = True) -> None:
+    figure = FIGURE_SPECS["fig1_left"]
     group = parser.add_argument_group("physics")
     group.add_argument("--config", help="flat key = value config file")
-    group.add_argument("--omega-ns-inv", type=float, default=1.0,
+    group.add_argument("--omega-ns-inv", type=float, default=FIGURE_PARAMS.omega,
                        help="Rabi amplitude (ns^-1, default %(default)g)")
-    group.add_argument("--delta-ns-inv", type=float, default=2.0,
+    group.add_argument("--delta-ns-inv", type=float, default=FIGURE_PARAMS.delta,
                        help="detuning (ns^-1, default %(default)g)")
-    group.add_argument("--theta-rad", type=float, default=math.pi / 2,
+    group.add_argument("--theta-rad", type=float, default=FIGURE_PARAMS.theta,
                        help="mixing angle (rad, default pi/2)")
-    group.add_argument("--phi-rad", type=float, default=0.0,
+    group.add_argument("--phi-rad", type=float, default=FIGURE_PARAMS.phi,
                        help="relative pulse phase (rad, default %(default)g)")
-    group.add_argument("--n-spins", type=int, default=20,
+    group.add_argument("--n-spins", type=int, default=figure.n_spins[0],
                        help="bath size N (default %(default)d)")
-    group.add_argument("--alpha-ps-inv", type=float, default=15.0,
+    group.add_argument("--alpha-ps-inv", type=float, default=FIGURE_ALPHA_NS_INV / 1000.0,
                        help="bath level splitting (ps^-1, default %(default)g)")
-    group.add_argument("--temperature-k", type=float, default=50.0,
+    group.add_argument("--temperature-k", type=float, default=figure.temperature_k,
                        help="bath temperature (K, default %(default)g)")
     group.add_argument("--beta-ns", type=float,
                        help="inverse temperature (ns); overrides --temperature-k")
-    group.add_argument("--n-states", type=int, default=30,
+    group.add_argument("--n-states", type=int, default=N_INPUT_STATES,
                        help="input states in the fidelity average (default %(default)d)")
     errors = parser.add_argument_group("error settings")
     errors.add_argument("--eps-kappa", type=float, action="append", metavar="VALUE",
@@ -176,11 +174,11 @@ def _add_physics_flags(parser: argparse.ArgumentParser, grid: bool = True) -> No
     errors.add_argument("--kappa", type=float, help="relative detuning error")
     if grid:
         grp = parser.add_argument_group("gamma grid")
-        grp.add_argument("--gamma-start-ns-inv", type=float, default=0.0,
+        grp.add_argument("--gamma-start-ns-inv", type=float, default=FIGURE_GRID.start,
                          help="grid start (ns^-1, default %(default)g)")
-        grp.add_argument("--gamma-stop-ns-inv", type=float, default=8.0,
+        grp.add_argument("--gamma-stop-ns-inv", type=float, default=FIGURE_GRID.stop,
                          help="grid stop, inclusive (ns^-1, default %(default)g)")
-        grp.add_argument("--gamma-step-ns-inv", type=float, default=0.05,
+        grp.add_argument("--gamma-step-ns-inv", type=float, default=FIGURE_GRID.step,
                          help="grid step (ns^-1, default %(default)g)")
 
 
@@ -215,10 +213,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.set_defaults(func=cmd_reproduce)
 
     p_val = sub.add_parser("validate", help="brute-force cross-checks of the fast paths")
-    p_val.add_argument("--cases", type=int, default=40, help="random cases (default 40)")
-    p_val.add_argument("--seed", type=int, default=2024)
-    p_val.add_argument("--max-spins", type=int, default=8)
-    p_val.set_defaults(func=cmd_validate)
+    p_val.add_argument("--cases", type=int, help="random cases (default %(default)d)")
+    p_val.add_argument("--seed", type=int)
+    p_val.add_argument("--max-spins", type=int)
+    suite = inspect.signature(run_validation_suite).parameters
+    p_val.set_defaults(func=cmd_validate, **{name: p.default for name, p in suite.items()})
 
     return parser
 
@@ -272,7 +271,7 @@ def cmd_fidelity(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    report = reproduce(args.figure, out_dir=args.out_dir)
+    report = reproduce(args.figure, args.out_dir)
     for line in report.lines:
         print(line)
     return 0 if report.passed else 1

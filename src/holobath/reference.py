@@ -40,7 +40,7 @@ __all__ = [
     "full_evolution",
     "partial_trace_bath",
     "trace_distance",
-    "find_cyclic_time",
+    "cyclic_times",
     "CheckResult",
     "MAX_VALIDATION_CASES",
     "run_validation_suite",
@@ -56,7 +56,7 @@ MAX_VALIDATION_CASES = 10_000
 HERMITICITY_TOL = 1e-12
 
 
-def expm_hermitian(h: np.ndarray, t=1.0) -> np.ndarray:
+def expm_hermitian(h: np.ndarray, t) -> np.ndarray:
     """exp(-i h t) of a Hermitian matrix, or of each matrix of a (..., n, n) stack.
 
     ``t`` is a scalar or one time per matrix (shape ``h.shape[:-2]``).  The
@@ -131,10 +131,9 @@ def full_evolution(
     b: SpinBath,
     gamma: float,
     psi: InputState,
-    t: float | None = None,
     basis: str = "collapsed",
 ) -> np.ndarray:
-    """Exact system(x)bath evolution and partial trace, at t = tau0 by default.
+    """Exact system(x)bath evolution over the cyclic time tau0, then the partial trace.
 
     ``basis`` selects the collapsed occupation basis (N <= 12) or the full
     spin product basis (N <= 6); the two must agree, which validates folding
@@ -176,11 +175,11 @@ def full_evolution(
 
     ket = _input_ket(p, psi)
     rho0 = np.kron(np.outer(ket, ket.conj()), np.diag(boltzmann).astype(complex))
-    u = expm_hermitian(h_total, p.tau0 if t is None else t)
+    u = expm_hermitian(h_total, p.tau0)
     return partial_trace_bath(u @ rho0 @ u.conj().T, bath_dim)
 
 
-def _cyclic_times(drives) -> np.ndarray:
+def cyclic_times(drives) -> np.ndarray:
     """Smallest t > 0 with <e|exp(-i H t)|b> = 0 for each drive, bisected in lockstep.
 
     The search signal is the signed quantity Im(e^{i delta t/2} <e|U(t)|b>),
@@ -213,11 +212,6 @@ def _cyclic_times(drives) -> np.ndarray:
         f_lo[active[same]] = f_mid[same]
         hi[active[~same]] = mid[~same]
     return 0.5 * (lo + hi)
-
-
-def find_cyclic_time(p: LambdaParams) -> float:
-    """Smallest t > 0 with <e|exp(-i H t)|b> = 0; see :func:`_cyclic_times`."""
-    return float(_cyclic_times([p])[0])
 
 
 @dataclass(frozen=True)
@@ -308,7 +302,11 @@ def run_validation_suite(
         )
     if max_spins < 1:
         raise ValueError(f"max_spins must be at least 1, got {max_spins}")
-    max_spins = min(max_spins, BRUTE_FORCE_MAX_COLLAPSED)
+    if max_spins > BRUTE_FORCE_MAX_COLLAPSED:
+        raise ValueError(f"max_spins must be at most BRUTE_FORCE_MAX_COLLAPSED = "
+                         f"{BRUTE_FORCE_MAX_COLLAPSED}, got {max_spins}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
 
     worst_channel = 0.0
@@ -367,7 +365,7 @@ def run_validation_suite(
         LambdaParams(omega=rng.uniform(0.05, 10.0), delta=rng.uniform(-10.0, 10.0))
         for _ in range(max(10, cases // 4))
     ]
-    worst_cyclic = float(np.max(np.abs(_cyclic_times(cyclic) - [p.tau0 for p in cyclic])))
+    worst_cyclic = float(np.max(np.abs(cyclic_times(cyclic) - [p.tau0 for p in cyclic])))
 
     return [
         CheckResult("channel vs full evolution (trace distance)", worst_channel, 1e-10),

@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .channel import average_fidelity, build_channel
+from .channel import N_INPUT_STATES, average_fidelity, build_channel
 from .error_model import ErrorParams
 from .lambda_system import LambdaParams, require_count, require_finite
 from .spin_bath import SpinBath
@@ -96,7 +96,7 @@ class SweepConfig:
     error_settings: tuple[ErrorParams, ...]
     bath: SpinBath
     grid: GammaGrid
-    n_states: int = 30
+    n_states: int = N_INPUT_STATES
 
     def __post_init__(self):
         if not self.error_settings:
@@ -255,17 +255,16 @@ def golden_section_maximize(f, lo: float, hi: float, tol: float = REFINE_TOL):
     return b, fb
 
 
-def _refine_bracket(f, gammas: np.ndarray, values: np.ndarray, best: int, label: str,
-                    tol: float) -> CurveOptimum:
+def _refine_bracket(f, gammas: np.ndarray, values: np.ndarray, best: int,
+                    label: str) -> CurveOptimum:
     """Refine grid point ``best`` between its neighbours; keep the grid point if it is higher."""
-    x, fx = golden_section_maximize(f, float(gammas[best - 1]), float(gammas[best + 1]), tol)
+    x, fx = golden_section_maximize(f, float(gammas[best - 1]), float(gammas[best + 1]))
     if values[best] > fx:
         x, fx = float(gammas[best]), float(values[best])
     return CurveOptimum(label, x, fx, on_boundary=False)
 
 
-def refine_global_optimum(f, gammas: np.ndarray, values: np.ndarray, label: str,
-                          tol: float = REFINE_TOL) -> CurveOptimum:
+def refine_global_optimum(f, gammas: np.ndarray, values: np.ndarray, label: str) -> CurveOptimum:
     """Grid argmax refined by golden-section search on the bracketing interval.
 
     A maximum on the first or last grid point cannot be bracketed; it is
@@ -275,11 +274,11 @@ def refine_global_optimum(f, gammas: np.ndarray, values: np.ndarray, label: str,
     grid = _grid_optimum(gammas, values, label)
     if grid.on_boundary:
         return grid
-    return _refine_bracket(f, gammas, values, int(np.argmax(values)), label, tol)
+    return _refine_bracket(f, gammas, values, int(np.argmax(values)), label)
 
 
-def refine_interior_optimum(f, gammas: np.ndarray, values: np.ndarray, label: str,
-                            tol: float = REFINE_TOL) -> CurveOptimum | None:
+def refine_interior_optimum(f, gammas: np.ndarray, values: np.ndarray,
+                            label: str) -> CurveOptimum | None:
     """Best interior local maximum, refined; None when the curve has none.
 
     This is the bath-assisted operating point: the strongest peak away from
@@ -293,14 +292,14 @@ def refine_interior_optimum(f, gammas: np.ndarray, values: np.ndarray, label: st
     if not candidates:
         return None
     best = max(candidates, key=lambda i: values[i])
-    return _refine_bracket(f, gammas, values, best, label, tol)
+    return _refine_bracket(f, gammas, values, best, label)
 
 
 def optimize_gamma(cfg: SweepConfig) -> list[CurveOptimum]:
     """Refined global optimum of F_av(gamma) for every error setting.
 
     Runs the grid sweep first, then polishes each argmax by golden-section
-    search until the bracket is narrower than 1e-4.
+    search until the bracket is narrower than REFINE_TOL.
     """
     result = run_sweep(cfg)
     out = []
@@ -313,7 +312,7 @@ def optimize_gamma(cfg: SweepConfig) -> list[CurveOptimum]:
 # --- figure reproduction -----------------------------------------------------
 
 FIGURE_GRID = GammaGrid(0.0, 8.0, 0.05)
-FIGURE_PARAMS = LambdaParams(omega=1.0, delta=2.0, theta=math.pi / 2, phi=0.0)
+FIGURE_PARAMS = LambdaParams(omega=1.0, delta=2.0)
 FIGURE_ALPHA_NS_INV = 15.0e3  # 15 ps^-1
 FIGURE_ERRORS = tuple(ErrorParams.symmetric(v) for v in (0.1, 0.15, 0.2))
 
@@ -440,7 +439,7 @@ def _optima_csv(curves: list[FigureCurve]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def reproduce(figure: str, out_dir: str = ".") -> ReproduceReport:
+def reproduce(figure: str, out_dir: str) -> ReproduceReport:
     """Run one baked-in figure configuration end to end.
 
     Writes the sweep CSV plus a summary CSV of optima into ``out_dir`` and

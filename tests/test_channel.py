@@ -22,7 +22,7 @@ from holobath.lambda_system import LambdaParams, bright_survival_amplitude, idea
 from holobath.reference import (
     _input_ket,
     apply_kraus,
-    find_cyclic_time,
+    cyclic_times,
     kraus_fidelity,
     kraus_matrices,
     kraus_unitaries,
@@ -113,7 +113,7 @@ class TestBuildChannel:
     def test_uses_ideal_cyclic_time(self, params, bath50):
         # errors shift the errored cyclic time but the pulse still runs tau0
         ch = build_channel(params, ErrorParams.symmetric(0.2), bath50, 1.0)
-        assert abs(find_cyclic_time(ch.effective) - params.tau0) > 0.1
+        assert abs(cyclic_times([ch.effective])[0] - params.tau0) > 0.1
         shifts = ch.effective.delta + 1.0 * bath50.occupations()
         expected = bright_survival_amplitude(ch.effective.omega, shifts, params.tau0, params.delta0)
         np.testing.assert_array_equal(ch.survival, expected)

@@ -1,3 +1,4 @@
+import inspect
 import os
 import re
 import subprocess
@@ -11,7 +12,13 @@ import holobath.channel as channel_mod
 from holobath import cli, reference
 from holobath.error_model import ErrorParams, apply_errors
 from holobath.lambda_system import LambdaParams
-from holobath.reference import MAX_VALIDATION_CASES
+from holobath.reference import (
+    BRUTE_FORCE_MAX_COLLAPSED,
+    MAX_VALIDATION_CASES,
+    run_validation_suite,
+)
+from holobath.spin_bath import SpinBath
+from holobath.sweep import FIGURE_ALPHA_NS_INV, FIGURE_GRID, FIGURE_PARAMS, SweepConfig
 
 
 def run_cli(args):
@@ -191,12 +198,12 @@ class TestFidelityCommand:
         errored = apply_errors(LambdaParams(omega=1.0, delta=2.0),
                                ErrorParams(epsilon0=0.2, epsilon1=0.15, zeta0=0.3, kappa=0.18))
         expected = (f"errored cyclic time tau0'_ns = "
-                    f"{reference.find_cyclic_time(errored):.9f} (diagnostic)")
+                    f"{reference.cyclic_times([errored])[0]:.9f} (diagnostic)")
 
         def refuse(drives):
             raise AssertionError("holobath fidelity ran the cyclic-time search")
 
-        monkeypatch.setattr(reference, "_cyclic_times", refuse)
+        monkeypatch.setattr(reference, "cyclic_times", refuse)
         code = run_cli(["fidelity", "--epsilon0", "0.2", "--epsilon1", "0.15",
                         "--zeta0-rad", "0.3", "--kappa", "0.18", "--gamma-ns-inv", "2.8"])
         assert code == 0
@@ -284,6 +291,20 @@ class TestSweepCommand:
         ]
         assert len(rows) == 1 + 2  # header + gamma in {0, 1}
 
+    def test_config_comment_needs_leading_whitespace(self, tmp_path, capsys):
+        # A '#' inside a value is part of it; one after whitespace starts a comment.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "# a full-line comment\n"
+            f"output = {tmp_path}/run#1.csv\n"
+            "n_spins = 4  # bath\n"
+            "gamma_stop_ns_inv = 1\n"
+            "gamma_step_ns_inv = 0.5\n"
+        )
+        assert run_cli(["sweep", "--config", str(cfg)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run#1.csv", "run.cfg"]
+        assert "# n_spins: 4\n" in (tmp_path / "run#1.csv").read_text()
+
     def test_missing_config_file(self, capsys):
         code = run_cli(["sweep", "--config", "/no/such/file.cfg"])
         assert code == 1
@@ -352,7 +373,8 @@ class TestOptimizeCommand:
 
 class TestValidateCommand:
     def test_passes(self, capsys):
-        code = run_cli(["validate", "--cases", "6", "--seed", "3", "--max-spins", "5"])
+        code = run_cli(["validate", "--cases", "6", "--seed", "3",
+                        "--max-spins", str(BRUTE_FORCE_MAX_COLLAPSED)])
         out = capsys.readouterr().out
         assert code == 0
         assert out.count("[PASS]") == 7
@@ -375,13 +397,22 @@ class TestValidateCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: cases must be at most MAX_VALIDATION_CASES")
 
-    @pytest.mark.parametrize("max_spins", ["0", "-2"])
-    def test_rejects_max_spins_below_one(self, capsys, max_spins):
-        code = run_cli(["validate", "--max-spins", max_spins])
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--max-spins", "0", "max_spins must be at least 1, got 0"),
+        ("--max-spins", "-2", "max_spins must be at least 1, got -2"),
+        # Clamping these would run a smaller suite than asked and still print [PASS].
+        ("--max-spins", "13", "max_spins must be at most BRUTE_FORCE_MAX_COLLAPSED = "
+                              f"{BRUTE_FORCE_MAX_COLLAPSED}, got 13"),
+        ("--max-spins", "50", "max_spins must be at most BRUTE_FORCE_MAX_COLLAPSED = "
+                              f"{BRUTE_FORCE_MAX_COLLAPSED}, got 50"),
+        ("--seed", "-1", "seed must be non-negative, got -1"),
+    ], ids=["max_spins=0", "max_spins=-2", "max_spins=13", "max_spins=50", "seed=-1"])
+    def test_rejects_out_of_range_input(self, capsys, flag, value, message):
+        code = run_cli(["validate", flag, value])
         captured = capsys.readouterr()
         assert code == 1
-        assert "[PASS]" not in captured.out
-        assert f"error: max_spins must be at least 1, got {max_spins}" in captured.err
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
 
 def test_import_leaves_scipy_unloaded():
@@ -415,6 +446,18 @@ class TestReproduceCommand:
         code = run_cli(["reproduce", "fig1_left", "--out-dir", str(tmp_path)])
         assert code == 1
         assert "[FAIL] eps_0.1: interior optimum exists" in capsys.readouterr().out
+
+
+class TestDefaults:
+    def test_sweep_defaults_are_the_fig1_left_configuration(self):
+        bath = SpinBath.from_temperature(20, FIGURE_ALPHA_NS_INV, 50.0)
+        expected = SweepConfig(FIGURE_PARAMS, (ErrorParams(),), bath, FIGURE_GRID)
+        assert cli.build_sweep_config(cli.parse_args(["sweep"])) == expected
+
+    def test_validate_defaults_are_the_suite_defaults(self):
+        args = cli.parse_args(["validate"])
+        for name, parameter in inspect.signature(run_validation_suite).parameters.items():
+            assert getattr(args, name) == parameter.default, name
 
 
 class TestParser:

@@ -15,11 +15,10 @@ from holobath.reference import (
     BRUTE_FORCE_MAX_COLLAPSED,
     BRUTE_FORCE_MAX_PRODUCT,
     MAX_VALIDATION_CASES,
-    _cyclic_times,
     _input_ket,
     channel_output_state,
+    cyclic_times,
     expm_hermitian,
-    find_cyclic_time,
     full_evolution,
     kraus_unitaries,
     partial_trace_bath,
@@ -215,16 +214,16 @@ class TestFullEvolution:
 class TestFindCyclicTime:
     def test_reference_configuration(self):
         p = LambdaParams(omega=1.0, delta=2.0)
-        assert find_cyclic_time(p) == pytest.approx(2.0 * math.pi / math.sqrt(8.0), abs=1e-9)
+        assert cyclic_times([p])[0] == pytest.approx(2.0 * math.pi / math.sqrt(8.0), abs=1e-9)
 
     def test_resonant_case(self):
         p = LambdaParams(omega=1.0, delta=0.0)
-        assert find_cyclic_time(p) == pytest.approx(math.pi, abs=1e-9)
+        assert cyclic_times([p])[0] == pytest.approx(math.pi, abs=1e-9)
 
     def test_errored_cyclic_time_differs_from_ideal(self):
         # omega' = 1.1, delta' = 2.2: tau0' = 2 pi / sqrt(9.68) != tau0
         eff = LambdaParams(omega=1.1, delta=2.2)
-        found = find_cyclic_time(eff)
+        (found,) = cyclic_times([eff])
         assert found == pytest.approx(2.019492244617, abs=1e-9)
         assert abs(found - LambdaParams(omega=1.0, delta=2.0).tau0) > 0.1
 
@@ -232,7 +231,7 @@ class TestFindCyclicTime:
         from holobath.lambda_system import bright_dark_states
 
         p = LambdaParams(omega=0.7, delta=-3.1, theta=1.0, phi=0.5)
-        t = find_cyclic_time(p)
+        (t,) = cyclic_times([p])
         u = expm_hermitian(raw_error_hamiltonian(p, ErrorParams()), t)
         _, b = bright_dark_states(p)
         assert abs(u[2] @ b) < 1e-10
@@ -241,7 +240,7 @@ class TestFindCyclicTime:
     @settings(max_examples=60, deadline=None)
     def test_matches_closed_form(self, omega, delta):
         p = LambdaParams(omega=omega, delta=delta)
-        assert abs(find_cyclic_time(p) - p.tau0) < 1e-9
+        assert abs(cyclic_times([p])[0] - p.tau0) < 1e-9
 
     @given(drives=st.lists(
         st.builds(LambdaParams, omega=st.floats(0.05, 10.0), delta=st.floats(-10.0, 10.0),
@@ -251,8 +250,8 @@ class TestFindCyclicTime:
     @settings(max_examples=40, deadline=None)
     def test_lockstep_equals_per_drive_search(self, drives):
         # Each drive bisects through its own midpoints whatever shares the stack.
-        together = [float(t) for t in _cyclic_times(drives)]
-        assert together == [find_cyclic_time(p) for p in drives]
+        together = [float(t) for t in cyclic_times(drives)]
+        assert together == [float(cyclic_times([p])[0]) for p in drives]
         assert together == [scalar_cyclic_time(p) for p in drives]
 
 
