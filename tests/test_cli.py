@@ -1,4 +1,5 @@
 import inspect
+import math
 import os
 import re
 import subprocess
@@ -458,6 +459,21 @@ class TestDefaults:
         args = cli.parse_args(["validate"])
         for name, parameter in inspect.signature(run_validation_suite).parameters.items():
             assert getattr(args, name) == parameter.default, name
+
+    def test_theta_help_names_the_default(self):
+        # The help spells the default as "pi/2" rather than %(default)g, so a
+        # moved default must take its help text along.
+        actions = [
+            action
+            for parser in cli._command_parsers(cli.build_parser()).values()
+            for action in parser._actions
+            if "--theta-rad" in action.option_strings
+        ]
+        assert len(actions) == 3
+        for action in actions:
+            assert action.default == FIGURE_PARAMS.theta
+            if "pi/2" in action.help:
+                assert FIGURE_PARAMS.theta == math.pi / 2
 
 
 class TestParser:

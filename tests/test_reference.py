@@ -8,18 +8,24 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holobath.channel import InputState, build_channel
+from holobath import reference
+from holobath.channel import InputState, build_channel, state_fidelity
 from holobath.error_model import ErrorParams
-from holobath.lambda_system import LambdaParams, bright_dark_states
+from holobath.lambda_system import LambdaParams, bright_dark_states, bright_survival_amplitude
 from holobath.reference import (
     BRUTE_FORCE_MAX_COLLAPSED,
     BRUTE_FORCE_MAX_PRODUCT,
     MAX_VALIDATION_CASES,
+    _bright_ket,
     _input_ket,
+    _random_case,
+    apply_kraus,
     channel_output_state,
     cyclic_times,
     expm_hermitian,
     full_evolution,
+    kraus_fidelity,
+    kraus_matrices,
     kraus_unitaries,
     partial_trace_bath,
     raw_error_hamiltonian,
@@ -56,6 +62,72 @@ def scalar_cyclic_time(p):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def per_case_suite(cases, seed, max_spins):
+    """The validation suite one case at a time through the one-case oracles, as a reference."""
+    rng = np.random.default_rng(seed)
+    worst_channel = worst_complete = worst_unital = worst_fidelity = 0.0
+    for _ in range(cases):
+        p, e, bath, gamma, state = _random_case(rng, max_spins)
+        ch = build_channel(p, e, bath, gamma)
+        kraus = kraus_matrices(ch)
+        ket = _input_ket(p, state)
+        rho_fast = apply_kraus(kraus, np.outer(ket, ket.conj()))
+        rho_exact = full_evolution(p, e, bath, gamma, state)
+        worst_channel = max(worst_channel, trace_distance(rho_fast, rho_exact))
+        completeness = np.einsum("mji,mjk->ik", kraus.conj(), kraus)
+        unitality = np.einsum("mij,mkj->ik", kraus, kraus.conj())
+        worst_complete = max(worst_complete, np.max(np.abs(completeness - np.eye(3))))
+        worst_unital = max(worst_unital, np.max(np.abs(unitality - np.eye(3))))
+        diff = abs(state_fidelity(ch, state) - kraus_fidelity(ch, kraus, state))
+        worst_fidelity = max(worst_fidelity, diff)
+
+    worst_collapse = 0.0
+    for _ in range(max(4, cases // 10)):
+        p, e, bath, gamma, state = _random_case(rng, BRUTE_FORCE_MAX_PRODUCT)
+        rho_col = full_evolution(p, e, bath, gamma, state, basis="collapsed")
+        rho_prod = full_evolution(p, e, bath, gamma, state, basis="product")
+        worst_collapse = max(worst_collapse, trace_distance(rho_col, rho_prod))
+
+    drives, shifts, tau0s = [], [], []
+    for _ in range(max(50, 5 * cases)):
+        drives.append(LambdaParams(
+            omega=rng.uniform(1e-3, 10.0),
+            delta=rng.uniform(-10.0, 10.0),
+            theta=rng.uniform(0.0, math.pi),
+            phi=rng.uniform(0.0, 2.0 * math.pi),
+        ))
+        shifts.append(rng.uniform(-10.0, 10.0))
+        tau0s.append(drives[-1].tau0 * rng.uniform(0.2, 3.0))
+    h = np.stack([raw_error_hamiltonian(p, ErrorParams()) for p in drives])
+    h[:, 2, 2] = shifts
+    bright = np.stack([_bright_ket(p) for p in drives])
+    dense = np.einsum("ki,kij,kj->k", bright.conj(), expm_hermitian(h, np.array(tau0s)), bright)
+    closed = np.array([
+        bright_survival_amplitude(p.omega, shift, t, 2.0 * math.pi / t)
+        for p, shift, t in zip(drives, shifts, tau0s)
+    ])
+    worst_survival = float(np.max(np.abs(closed - dense)))
+
+    cyclic = [
+        LambdaParams(omega=rng.uniform(0.05, 10.0), delta=rng.uniform(-10.0, 10.0))
+        for _ in range(max(10, cases // 4))
+    ]
+    worst_cyclic = max(abs(float(cyclic_times([p])[0]) - p.tau0) for p in cyclic)
+    return [worst_channel, worst_collapse, worst_complete, worst_unital, worst_fidelity,
+            worst_survival, worst_cyclic]
+
+
+def count_calls(monkeypatch, names):
+    """Count calls of the named np.linalg functions from here on."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
 
 
 class TestExpmHermitian:
@@ -242,6 +314,12 @@ class TestFindCyclicTime:
         p = LambdaParams(omega=omega, delta=delta)
         assert abs(cyclic_times([p])[0] - p.tau0) < 1e-9
 
+    def test_one_eigendecomposition_per_stack(self, monkeypatch):
+        drives = [LambdaParams(omega=0.3 * k, delta=1.0 - k) for k in range(1, 9)]
+        counts = count_calls(monkeypatch, ("eigh",))
+        cyclic_times(drives)
+        assert counts["eigh"] == 1
+
     @given(drives=st.lists(
         st.builds(LambdaParams, omega=st.floats(0.05, 10.0), delta=st.floats(-10.0, 10.0),
                   theta=st.floats(0.0, math.pi), phi=st.floats(0.0, 2.0 * math.pi)),
@@ -261,6 +339,39 @@ class TestValidationSuite:
         assert len(checks) == 7
         for check in checks:
             assert check.passed, f"{check.name}: worst={check.worst:.3e}"
+
+    @pytest.mark.parametrize("cases, seed, max_spins", [
+        (12, 5, 6),
+        (2 * reference._BLOCK_CASES + 7, 11, BRUTE_FORCE_MAX_COLLAPSED),
+    ])
+    def test_stacked_suite_equals_per_case_suite(self, cases, seed, max_spins):
+        # Several blocks, a short last block and the N = 12 cap: the stacks
+        # must reproduce the one-case oracles bit for bit.
+        stacked = [check.worst for check in run_validation_suite(cases, seed, max_spins)]
+        assert stacked == per_case_suite(cases, seed, max_spins)
+
+    def test_eigendecompositions_are_stacked(self, monkeypatch):
+        # Per block: one eigh for the Kraus stack, one per bath size and one
+        # eigvalsh.  The collapse check adds two eigh and one eigvalsh per case.
+        counts = count_calls(monkeypatch, ("eigh", "eigvalsh"))
+        run_validation_suite(cases=40, seed=2024)
+        assert counts["eigh"] <= 30
+        assert counts["eigvalsh"] <= 10
+
+    def test_nan_fails_its_check(self, monkeypatch):
+        monkeypatch.setattr(reference, "state_fidelity", lambda ch, state: math.nan)
+        checks = {check.name: check for check in run_validation_suite(cases=3, seed=1)}
+        failed = [name for name, check in checks.items() if not check.passed]
+        assert failed == ["fidelity kernel vs dense Kraus fidelity"]
+
+    def test_peak_memory_is_bounded_by_the_block(self):
+        tracemalloc.start()
+        try:
+            run_validation_suite(cases=400, max_spins=BRUTE_FORCE_MAX_COLLAPSED)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
 
     def test_rejects_cases_over_the_cap_before_allocating(self):
         tracemalloc.start()
