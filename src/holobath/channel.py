@@ -20,14 +20,21 @@ the bright-state survival amplitude, so for any error setting
     A = <G psi|d'><d'|psi>,  B = <G psi|b'><b'|psi>,
 
 with <u> = sum_m p_m u_m and <|u|^2> = sum_m p_m |u_m|^2.  One kernel evaluates
-this for a scalar gamma or a whole gamma array; the dense 3x3 Kraus matrices
-live in :mod:`holobath.reference` and serve only to validate it.
+this for a scalar gamma or a whole gamma array, in two halves: the input-state
+terms |A|^2, A^* B and |B|^2, which depend on the drive, the errors and
+(vartheta, xi) but not on gamma, and the bath reduction <u>, <|u|^2> -> F.
+The public functions compose the two.  A sweep curve computes the first half
+once and hands it, with the effective drive and the thermal weights, to the
+channel of every gamma its golden-section refinement visits, so each
+evaluation recomputes only the survival amplitudes and the second half.  The
+dense 3x3 Kraus matrices live in :mod:`holobath.reference` and serve only to
+validate the kernel.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -103,6 +110,11 @@ class HolonomicChannel:
     gamma: float | np.ndarray
     weights: np.ndarray = field(repr=False)
     survival: np.ndarray = field(repr=False)
+    # The gamma-independent input-state terms of a fidelity_curve, when the
+    # channel's curve computed them once for every gamma it visits (see
+    # _with_curve_terms); None makes fidelity_curve compute them.
+    _curve_terms: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
+        default=None, repr=False, compare=False)
 
 
 def build_channel(
@@ -115,17 +127,29 @@ def build_channel(
     the ideal cyclic time tau0 = 2*pi/delta0 of the unprimed parameters;
     errors enter only through the effective drive.
     """
+    gammas = _checked_gammas(gamma, b.n_spins + 1)
+    weights = thermal_weights(b)
+    weights.flags.writeable = False
+    return _with_survival(p, apply_errors(p, e), b, weights, gammas)
+
+
+def _checked_gammas(gamma, n_levels: int) -> np.ndarray:
+    """gamma as a finite 0-d or 1-D float array, rejected before a (gamma, N+1) array exists."""
     gammas = np.asarray(gamma, dtype=float)
     if gammas.ndim > 1:
         raise ValueError(f"gamma must be a scalar or a 1-D array, got shape {gammas.shape}")
     if not np.all(np.isfinite(gammas)):
         raise ValueError(f"gamma must be finite, got {gamma}")
-    _require_kernel_size(gammas.size, b.n_spins + 1, "bath levels")
-    eff = apply_errors(p, e)
+    _require_kernel_size(gammas.size, n_levels, "bath levels")
+    return gammas
+
+
+def _with_survival(p: LambdaParams, eff: LambdaParams, b: SpinBath, weights: np.ndarray,
+                   gammas: np.ndarray, curve_terms=None) -> HolonomicChannel:
+    """The channel at checked gammas: u_m of the effective drive at detuning delta' + gamma*m."""
     shifts = eff.delta + gammas[..., None] * b.occupations()
-    weights = thermal_weights(b)
     survival = bright_survival_amplitude(eff.omega, shifts, p.tau0, p.delta0)
-    weights.flags.writeable = survival.flags.writeable = False
+    survival.flags.writeable = False
     return HolonomicChannel(
         params=p,
         effective=eff,
@@ -133,32 +157,43 @@ def build_channel(
         gamma=gammas if gammas.ndim else float(gammas),
         weights=weights,
         survival=survival,
+        _curve_terms=curve_terms,
     )
 
 
-def _fidelity(ch: HolonomicChannel, varthetas: np.ndarray, xi: float = 0.0) -> np.ndarray:
-    """F for inputs (vartheta, xi), shape gamma.shape + varthetas.shape.
+def _input_terms(p: LambdaParams, eff: LambdaParams, varthetas: np.ndarray,
+                 xi: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(|A|^2, A^* B, |B|^2) of each input (vartheta, xi): the gamma-independent half of F^2."""
+    dark, bright = bright_dark_states(p)
+    half = 0.5 * np.asarray(varthetas)
+    psi = np.cos(half)[..., None] * dark + (np.exp(1j * xi) * np.sin(half))[..., None] * bright
+    target = psi @ ideal_gate(p).T
+    dark_p, bright_p = bright_dark_states(eff)
+    a = (target.conj() @ dark_p) * (psi @ dark_p.conj())
+    b = (target.conj() @ bright_p) * (psi @ bright_p.conj())
+    return np.abs(a) ** 2, a.conj() * b, np.abs(b) ** 2
+
+
+def _bath_fidelity(terms: tuple[np.ndarray, np.ndarray, np.ndarray], weights: np.ndarray,
+                   survival: np.ndarray) -> np.ndarray:
+    """F from the input-state terms and the bath, shape survival.shape[:-1] + the terms' shape.
 
     The bath enters only through <u> and <|u|^2>, reduced over m before they
     meet the input states, so no (gamma, vartheta, m) array is ever built.
     """
-    dark, bright = bright_dark_states(ch.params)
-    half = 0.5 * np.asarray(varthetas)
-    psi = np.cos(half)[..., None] * dark + (np.exp(1j * xi) * np.sin(half))[..., None] * bright
-    target = psi @ ideal_gate(ch.params).T
-    dark_p, bright_p = bright_dark_states(ch.effective)
-    a = (target.conj() @ dark_p) * (psi @ dark_p.conj())
-    b = (target.conj() @ bright_p) * (psi @ bright_p.conj())
-    mean_u = ch.survival @ ch.weights
-    mean_u2 = np.abs(ch.survival) ** 2 @ ch.weights
-    f2 = (
-        np.abs(a) ** 2
-        + 2.0 * np.multiply.outer(mean_u, a.conj() * b).real
-        + np.multiply.outer(mean_u2, np.abs(b) ** 2)
-    )
+    a2, ab, b2 = terms
+    mean_u = survival @ weights
+    mean_u2 = np.abs(survival) ** 2 @ weights
+    f2 = a2 + 2.0 * np.multiply.outer(mean_u, ab).real + np.multiply.outer(mean_u2, b2)
     # The expanded form can dip below 0 by roundoff where A + B u_m cancels,
     # and the exact value is bounded by 1; clamp both.
     return np.minimum(np.sqrt(np.maximum(f2, 0.0)), 1.0)
+
+
+def _fidelity(ch: HolonomicChannel, varthetas: np.ndarray, xi: float = 0.0) -> np.ndarray:
+    """F for inputs (vartheta, xi), shape gamma.shape + varthetas.shape."""
+    return _bath_fidelity(_input_terms(ch.params, ch.effective, varthetas, xi),
+                          ch.weights, ch.survival)
 
 
 def state_fidelity(ch: HolonomicChannel, s: InputState) -> float | np.ndarray:
@@ -182,11 +217,19 @@ def fidelity_curve(ch: HolonomicChannel,
 
     For a gamma-array channel the values have shape (len(gamma), n_states).
     """
+    varthetas = _curve_grid(ch, n_states)
+    terms = ch._curve_terms
+    if terms is None or terms[0].size != n_states:
+        return varthetas, _fidelity(ch, varthetas)
+    return varthetas, _bath_fidelity(terms, ch.weights, ch.survival)
+
+
+def _curve_grid(ch: HolonomicChannel, n_states: int) -> np.ndarray:
+    """vartheta_grid(n_states), after rejecting a too large (gamma, n_states) kernel."""
     n_states = require_count("n_states", n_states, 3)
     # survival holds one row of N+1 amplitudes per gamma
     _require_kernel_size(ch.survival.size // ch.weights.size, n_states, "input states")
-    varthetas = vartheta_grid(n_states)
-    return varthetas, _fidelity(ch, varthetas)
+    return vartheta_grid(n_states)
 
 
 def average_fidelity(ch: HolonomicChannel, n_states: int = N_INPUT_STATES) -> float | np.ndarray:
@@ -209,3 +252,29 @@ def _sin_weighted_average(varthetas: np.ndarray, values: np.ndarray) -> float | 
     weights[-1] = 0.0
     averages = values @ weights / np.sum(weights)
     return float(averages) if averages.ndim == 0 else averages
+
+
+def _with_curve_terms(ch: HolonomicChannel, n_states: int) -> HolonomicChannel:
+    """ch carrying the input-state terms of its fidelity_curve over n_states, computed here once."""
+    terms = _input_terms(ch.params, ch.effective, _curve_grid(ch, n_states))
+    for array in terms:
+        array.flags.writeable = False
+    return replace(ch, _curve_terms=terms)
+
+
+def _f_av_objective(ch: HolonomicChannel, n_states: int):
+    """gamma -> ``average_fidelity`` of ch's drive, errors and bath at that gamma.
+
+    Equals ``average_fidelity(build_channel(p, e, ch.bath, gamma), n_states)``
+    bit for bit, at a scalar gamma or a gamma array.  Each call builds a
+    channel from ch's effective drive, thermal weights and curve terms (see
+    :func:`_with_curve_terms`), so it recomputes only the survival amplitudes,
+    the bath reduction and the average.  ch's own survival array is not kept.
+    """
+    p, eff, b, weights, terms = ch.params, ch.effective, ch.bath, ch.weights, ch._curve_terms
+
+    def f_av(gamma: float | np.ndarray) -> float | np.ndarray:
+        gammas = _checked_gammas(gamma, weights.size)
+        return average_fidelity(_with_survival(p, eff, b, weights, gammas, terms), n_states)
+
+    return f_av

@@ -211,8 +211,12 @@ def _full_evolutions(cases, basis: str = "collapsed") -> np.ndarray:
 
         # Bath thermal weights from exact binomials (or explicit enumeration),
         # normalized directly; independent of the log-space accumulation.
+        # Level m = 0 carries no Boltzmann factor, so beta = inf (T -> 0)
+        # leaves the bath in its ground state instead of exp(-inf * 0) = NaN.
         beta_alpha = np.array([b.beta_alpha for b in baths])[:, None]
-        boltzmann = multiplicities * np.exp(-beta_alpha * occupations)
+        exponents = np.zeros((len(index), bath_dim))
+        np.multiply(-beta_alpha, occupations, out=exponents, where=occupations > 0)
+        boltzmann = multiplicities * np.exp(exponents)
         boltzmann /= boltzmann.sum(axis=-1, keepdims=True)
 
         alpha = np.array([b.alpha for b in baths])[:, None]

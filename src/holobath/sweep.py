@@ -1,20 +1,21 @@
 """Coupling-strength sweeps, optimum location, CSV emission, figure reproduction.
 
 A sweep evaluates the sin-weighted average fidelity on a gamma grid for one or
-more error settings.  Each setting gets one channel over the whole grid, so
-the thermal weights are computed once and the fidelity kernel runs once per
-curve; values are formatted to 12 significant digits, which makes the emitted
-CSV byte-identical for identical configurations.
+more error settings.  Each setting gets one channel over the whole grid and
+one objective gamma -> F_av built from it: the effective drive, the thermal
+weights and the input-state terms are computed once per curve, and every
+golden-section step recomputes only the survival amplitudes, the bath
+reduction and the average.  Values are formatted to 12 significant digits,
+which makes the emitted CSV byte-identical for identical configurations.
 
 Two optima matter for a fidelity curve: the refined global maximum (which sits
 at gamma = 0 whenever the bath cannot beat the bare errored gate) and the best
 *interior* local maximum, the bath-assisted operating point one would actually
-tune to.  Both are reported.
+tune to.  Both are reported, both refined with the curve's objective.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 from collections.abc import Callable
@@ -25,7 +26,13 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .channel import N_INPUT_STATES, average_fidelity, build_channel
+from .channel import (
+    N_INPUT_STATES,
+    _f_av_objective,
+    _with_curve_terms,
+    average_fidelity,
+    build_channel,
+)
 from .error_model import ErrorParams
 from .lambda_system import LambdaParams, require_count, require_finite
 from .spin_bath import SpinBath
@@ -195,28 +202,38 @@ def _write_text(path, text: str) -> None:
         raise OSError(f"cannot write CSV to {path!s}: {exc}") from exc
 
 
-def _f_av(cfg: SweepConfig, errors: ErrorParams, gamma):
-    """F_av for one error setting at a scalar gamma or over a gamma array."""
-    return average_fidelity(build_channel(cfg.params, errors, cfg.bath, gamma), cfg.n_states)
-
-
 def run_sweep(cfg: SweepConfig) -> SweepResult:
     """Evaluate F_av on the grid for every error setting.
 
     Builds exactly one channel per error setting, spanning the whole grid;
     the result is deterministic.
     """
+    return _sweep(cfg)[0]
+
+
+def _sweep(cfg: SweepConfig) -> tuple[SweepResult, list[Callable]]:
+    """:func:`run_sweep`, plus each curve's objective gamma -> F_av for its refinement.
+
+    The grid values and the objective share the curve's effective drive,
+    thermal weights and input-state terms, so a refinement step recomputes
+    only the survival amplitudes, the bath reduction and the average.
+    """
     gammas = cfg.grid.values()
     labels = cfg.labels()
-    curves = np.array([_f_av(cfg, errors, gammas) for errors in cfg.error_settings])
-
-    return SweepResult(
+    curves, objectives = [], []
+    for errors in cfg.error_settings:
+        ch = _with_curve_terms(build_channel(cfg.params, errors, cfg.bath, gammas), cfg.n_states)
+        curves.append(average_fidelity(ch, cfg.n_states))
+        objectives.append(_f_av_objective(ch, cfg.n_states))
+        del ch  # the objective keeps no grid array, so one curve's survival is held at a time
+    result = SweepResult(
         config=cfg,
         gammas=gammas,
-        curves=curves,
+        curves=np.array(curves),
         labels=tuple(labels),
         grid_optima=tuple(_grid_optimum(gammas, v, label) for label, v in zip(labels, curves)),
     )
+    return result, objectives
 
 
 def _grid_optimum(gammas: np.ndarray, values: np.ndarray, label: str) -> CurveOptimum:
@@ -226,19 +243,19 @@ def _grid_optimum(gammas: np.ndarray, values: np.ndarray, label: str) -> CurveOp
     return CurveOptimum(label, float(gammas[best]), float(values[best]), on_boundary)
 
 
-def golden_section_maximize(f, lo: float, hi: float, tol: float = REFINE_TOL):
+def golden_section_maximize(f, lo: float, hi: float):
     """Golden-section search for the maximum of a unimodal f on [lo, hi].
 
-    Returns (x, f(x)) once the bracket width drops below tol.
+    Returns (x, f(x)) once the bracket width drops below REFINE_TOL.
     """
     width = hi - lo
-    if width <= tol:
+    if width <= REFINE_TOL:
         mid = 0.5 * (lo + hi)
         return mid, f(mid)
     a = lo + INV_PHI2 * width
     b = lo + INV_PHI * width
     fa, fb = f(a), f(b)
-    steps = int(math.ceil(math.log(tol / width) / math.log(INV_PHI)))
+    steps = int(math.ceil(math.log(REFINE_TOL / width) / math.log(INV_PHI)))
     for _ in range(steps):
         if fa > fb:
             hi, b, fb = b, a, fa
@@ -301,12 +318,9 @@ def optimize_gamma(cfg: SweepConfig) -> list[CurveOptimum]:
     Runs the grid sweep first, then polishes each argmax by golden-section
     search until the bracket is narrower than REFINE_TOL.
     """
-    result = run_sweep(cfg)
-    out = []
-    for errors, label, values in zip(cfg.error_settings, result.labels, result.curves):
-        f = functools.partial(_f_av, cfg, errors)
-        out.append(refine_global_optimum(f, result.gammas, values, label))
-    return out
+    result, objectives = _sweep(cfg)
+    return [refine_global_optimum(f, result.gammas, values, label)
+            for f, label, values in zip(objectives, result.labels, result.curves)]
 
 
 # --- figure reproduction -----------------------------------------------------
@@ -456,10 +470,9 @@ def reproduce(figure: str, out_dir: str) -> ReproduceReport:
     for n_spins in spec.n_spins:
         bath = SpinBath.from_temperature(n_spins, FIGURE_ALPHA_NS_INV, spec.temperature_k)
         cfg = SweepConfig(FIGURE_PARAMS, spec.errors, bath, FIGURE_GRID)
-        result = run_sweep(cfg)
-        for errors, setting, values in zip(cfg.error_settings, result.labels, result.curves):
+        result, objectives = _sweep(cfg)
+        for f, setting, values in zip(objectives, result.labels, result.curves):
             label = spec.label.format(setting=setting, n_spins=n_spins)
-            f = functools.partial(_f_av, cfg, errors)
             best = refine_global_optimum(f, result.gammas, values, label)
             # An interior global maximum is already the best interior one.
             interior = (refine_interior_optimum(f, result.gammas, values, label)

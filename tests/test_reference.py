@@ -260,6 +260,24 @@ class TestFullEvolution:
         rho_prod = full_evolution(params, errors, bath, 2.8, state, basis="product")
         assert trace_distance(rho_col, rho_prod) < 1e-10
 
+    def test_zero_temperature_bases_agree(self, params):
+        # beta = inf leaves only the m = 0 level, with no Boltzmann factor on it
+        bath = SpinBath(n_spins=4, alpha=3.0, beta=math.inf)
+        errors = ErrorParams(0.1, 0.2, 0.3, -0.2, 0.1)
+        state = InputState(0.8, 0.3)
+        rho_col = full_evolution(params, errors, bath, 2.8, state, basis="collapsed")
+        rho_prod = full_evolution(params, errors, bath, 2.8, state, basis="product")
+        assert np.all(np.isfinite(rho_col)) and np.all(np.isfinite(rho_prod))
+        assert trace_distance(rho_col, rho_prod) < 1e-10
+
+    def test_zero_temperature_matches_channel(self, params):
+        bath = SpinBath(n_spins=5, alpha=2.0, beta=math.inf)
+        errors = ErrorParams(-0.1, 0.15, -0.6, 0.4, 0.2)
+        state = InputState(1.9, 5.1)
+        ch = build_channel(params, errors, bath, 1.7)
+        rho_exact = full_evolution(params, errors, bath, 1.7, state)
+        assert trace_distance(channel_output_state(ch, state), rho_exact) < 1e-10
+
     def test_respects_brute_force_caps(self, params):
         state = InputState(1.0)
         big = SpinBath(n_spins=BRUTE_FORCE_MAX_COLLAPSED + 1, alpha=1.0, beta=0.1)

@@ -1,3 +1,4 @@
+import collections
 import csv
 import io
 import math
@@ -7,11 +8,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import holobath.channel as channel_mod
 import holobath.sweep as sweep_mod
+from holobath.channel import average_fidelity, build_channel
 from holobath.error_model import ErrorParams
 from holobath.lambda_system import LambdaParams
 from holobath.spin_bath import SpinBath
 from holobath.sweep import (
+    REFINE_TOL,
     GammaGrid,
     SweepConfig,
     golden_section_maximize,
@@ -61,6 +65,12 @@ REPORT_LINES = {
         "[PASS] gamma* spread below 3% (measured 1.59%)",
     ],
 }
+
+
+def public_f_av(cfg, gamma):
+    """F_av of the first setting through the public API, independent of the per-curve objective."""
+    errors = cfg.error_settings[0]
+    return average_fidelity(build_channel(cfg.params, errors, cfg.bath, gamma), cfg.n_states)
 
 
 def small_config(**overrides):
@@ -237,13 +247,105 @@ class TestRunSweep:
 
 class TestGoldenSection:
     def test_quadratic_peak(self):
-        x, fx = golden_section_maximize(lambda x: -((x - 1.3) ** 2), 0.0, 3.0, tol=1e-6)
-        assert x == pytest.approx(1.3, abs=1e-5)
-        assert fx == pytest.approx(0.0, abs=1e-9)
+        x, fx = golden_section_maximize(lambda x: -((x - 1.3) ** 2), 0.0, 3.0)
+        assert x == pytest.approx(1.3, abs=REFINE_TOL)
+        assert fx == pytest.approx(0.0, abs=REFINE_TOL**2)
 
     def test_narrow_bracket_short_circuits(self):
-        x, fx = golden_section_maximize(lambda x: x, 1.0, 1.0 + 1e-9, tol=1e-4)
-        assert x == pytest.approx(1.0, abs=1e-8)
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x
+
+        x, fx = golden_section_maximize(f, 1.0, 1.0 + 0.5 * REFINE_TOL)
+        assert calls == [x] and fx == x
+        assert x == pytest.approx(1.0 + 0.25 * REFINE_TOL, abs=1e-15)
+
+
+class TestCurveObjective:
+    SETTINGS = {
+        "symmetric": (ErrorParams.symmetric(0.2), SpinBath.from_temperature(20, 15.0e3, 50.0)),
+        "asymmetric": (ErrorParams(0.2, 0.15, 0.3, 0.0, 0.18),
+                       SpinBath.from_temperature(20, 15.0e3, 50.0)),
+        "zero_temperature": (ErrorParams(0.1, -0.05, -0.4, 0.2, 0.15),
+                             SpinBath(n_spins=9, alpha=2.0, beta=math.inf)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SETTINGS))
+    def test_equals_the_public_composition(self, name):
+        errors, bath = self.SETTINGS[name]
+        cfg = small_config(error_settings=(errors,), bath=bath, grid=GammaGrid(0.0, 8.0, 0.05))
+        result, (f,) = sweep_mod._sweep(cfg)
+        gammas = result.gammas
+        grid = public_f_av(cfg, gammas)
+        assert np.array_equal(result.curves[0], grid)
+        assert np.array_equal(f(gammas), grid)
+        points = [gammas[0], gammas[-1], gammas[57], 0.5 * (gammas[3] + gammas[4]), 2.8, 1.234567]
+        for gamma in points:
+            value = f(float(gamma))
+            assert type(value) is float and value == public_f_av(cfg, float(gamma))
+
+    def test_curve_terms_stand_in_only_for_their_own_grid(self):
+        errors, bath = self.SETTINGS["asymmetric"]
+        ch = build_channel(LambdaParams(omega=1.0, delta=2.0), errors, bath, np.linspace(0, 8, 9))
+        carrying = channel_mod._with_curve_terms(ch, 30)
+        for n_states in (30, 7):
+            expected = channel_mod.fidelity_curve(ch, n_states)[1]
+            assert np.array_equal(channel_mod.fidelity_curve(carrying, n_states)[1], expected)
+        assert np.array_equal(average_fidelity(carrying), average_fidelity(ch))
+
+    @pytest.mark.parametrize("run", ["optimize_gamma", "reproduce"])
+    def test_gamma_independent_work_runs_once_per_curve(self, run, monkeypatch, tmp_path):
+        calls = collections.Counter()
+        for name in ("thermal_weights", "apply_errors", "ideal_gate"):
+            def counting(*args, _name=name, _original=getattr(channel_mod, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(channel_mod, name, counting)
+        evaluations = []
+        search = sweep_mod.golden_section_maximize
+        monkeypatch.setattr(sweep_mod, "golden_section_maximize", lambda f, lo, hi: search(
+            lambda g: evaluations.append(g) or f(g), lo, hi))
+        if run == "optimize_gamma":
+            settings = (ErrorParams.symmetric(0.2), ErrorParams(0.2, 0.15, 0.3, 0.0, 0.18))
+            curves = len(optimize_gamma(small_config(error_settings=settings,
+                                                     grid=GammaGrid(0.0, 8.0, 0.1))))
+        else:
+            reproduce("fig1_left", out_dir=str(tmp_path))
+            curves = 3
+        assert len(evaluations) >= 10 * curves
+        assert calls == dict.fromkeys(("thermal_weights", "apply_errors", "ideal_gate"), curves)
+
+    def test_oversized_grid_still_raises(self, monkeypatch):
+        cfg = small_config(grid=GammaGrid(0.0, 8.0, 0.05))  # 161 points, N + 1 = 21, 30 states
+        monkeypatch.setattr(channel_mod, "MAX_KERNEL_ELEMENTS", 161 * 21 - 1)
+        for call in (run_sweep, optimize_gamma):
+            with pytest.raises(ValueError, match="161 gamma values x 21 bath levels"):
+                call(cfg)
+        monkeypatch.setattr(channel_mod, "MAX_KERNEL_ELEMENTS", 161 * 21)
+        with pytest.raises(ValueError, match="161 gamma values x 30 input states"):
+            run_sweep(cfg)
+
+        monkeypatch.setattr(channel_mod, "MAX_KERNEL_ELEMENTS", 161 * 30)
+        _, (f,) = sweep_mod._sweep(cfg)
+
+        def unreachable(what):
+            def fail(*args, **kwargs):
+                raise AssertionError(f"{what} computed before its size check")
+            return fail
+
+        # Each check runs before the array it bounds is allocated.
+        monkeypatch.setattr(channel_mod, "_bath_fidelity", unreachable("fidelity kernel"))
+        with pytest.raises(ValueError, match="162 gamma values x 30 input states"):
+            f(np.zeros(162))
+        monkeypatch.setattr(channel_mod, "bright_survival_amplitude",
+                            unreachable("survival amplitudes"))
+        with pytest.raises(ValueError, match="231 gamma values x 21 bath levels"):
+            f(np.zeros(231))
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            f(math.nan)
 
 
 class TestOptimumLocation:
@@ -286,7 +388,7 @@ class TestOptimumLocation:
         # unimodality cross-check: dense-grid argmax as the oracle
         cfg = small_config(grid=GammaGrid(0.0, 8.0, 0.1))
         (opt,) = optimize_gamma(cfg)
-        f = lambda g: sweep_mod._f_av(cfg, cfg.error_settings[0], g)
+        f = lambda g: public_f_av(cfg, g)
         dense = np.arange(opt.gamma_star - 0.25, opt.gamma_star + 0.25, 1e-3)
         values = [f(g) for g in dense]
         assert opt.gamma_star == pytest.approx(dense[int(np.argmax(values))], abs=1e-3)
@@ -299,7 +401,7 @@ class TestOptimumLocation:
             error_settings=(ErrorParams.symmetric(0.1),), grid=GammaGrid(0.0, 8.0, 0.1)
         )
         result = run_sweep(cfg)
-        f = lambda g: sweep_mod._f_av(cfg, cfg.error_settings[0], g)
+        f = lambda g: public_f_av(cfg, g)
         global_opt = refine_global_optimum(f, result.gammas, result.curves[0], "eps_0.1")
         assert global_opt.on_boundary and global_opt.gamma_star == 0.0
         interior = refine_interior_optimum(f, result.gammas, result.curves[0], "eps_0.1")
