@@ -118,19 +118,22 @@ def bright_survival_amplitude(omega_eff, effective_detuning, tau0: float, delta0
     """Bright-state survival amplitude <b|exp(-i H_D tau0)|b> in closed form.
 
     Valid under the cyclic-time convention tau0 = 2*pi/delta0, where delta0 is
-    the gap of the *ideal* block.  ``effective_detuning`` may be a scalar or an
-    array (one entry per bath level); the result matches elementwise.
+    the gap of the *ideal* block.  Any argument may be an array (one entry per
+    bath level or per drive); the result matches the scalar calls elementwise.
+    A NaN or non-positive entry of ``omega_eff`` or ``delta0`` raises ValueError.
     """
-    if not omega_eff > 0.0:
+    # Scalars keep the bare comparison: this runs once per curve evaluation.
+    if not (np.all(omega_eff > 0.0) if isinstance(omega_eff, np.ndarray) else omega_eff > 0.0):
         raise ValueError(f"omega_eff must be positive, got {omega_eff}")
-    if not delta0 > 0.0:
+    if not (np.all(delta0 > 0.0) if isinstance(delta0, np.ndarray) else delta0 > 0.0):
         raise ValueError(f"delta0 must be positive, got {delta0}")
     D = np.asarray(effective_detuning, dtype=float)
     big = np.hypot(D, 2.0 * omega_eff)
     angle = np.pi * big / delta0
-    # cos(eta) = D/big, sigma = D/2
-    out = np.exp(-0.5j * D * tau0) * (np.cos(angle) + 1j * (D / big) * np.sin(angle))
-    if np.ndim(effective_detuning) == 0:
+    # cos(eta) = D/big, sigma = D/2.  np.multiply, not *: on scalars * is
+    # NumPy's scalar complex product, which can round unlike the array loop.
+    out = np.multiply(np.exp(-0.5j * D * tau0), np.cos(angle) + 1j * (D / big) * np.sin(angle))
+    if out.ndim == 0:
         return complex(out[()])
     return out
 

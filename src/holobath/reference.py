@@ -12,15 +12,18 @@ the excited level shifted by gamma*m; the channel keeps just what its
 fidelity kernel needs, and the suite checks that kernel against them.
 
 The oracles work on stacks, one batched eigendecomposition each.  The suite
-draws its per-case checks in blocks of cases: per block, one exponential
-of every Kraus Hamiltonian, one of the exact evolutions per bath size and
-one eigvalsh for the trace distances.  The cyclic-time search
-eigendecomposes its drives once, before bisecting.  The one-case oracles
-(``full_evolution``, ``kraus_matrices``, ``trace_distance``) are one-item
-calls into the same stacked code, and a stack equals its one-item calls bit
-for bit.  Only the multiplicity-collapse check runs one case at a time: its
-192x192 product-basis matrices cost LAPACK time, not call overhead, and
-stacking them would only raise peak memory.
+draws its per-case checks in blocks of cases: per block, one exponential of
+every Kraus Hamiltonian, one array pass for the Kraus sums (completeness,
+unitality, output state, fidelity), one eigendecomposition of the exact
+evolutions per bath size and one eigvalsh for the trace distances.  An exact
+evolution propagates only the columns U(psi (x) b) that the partial trace
+reads, never U or rho itself.  The survival check is one array pass, and the
+cyclic-time search eigendecomposes its drives once, before bisecting.  The
+one-case oracles (``full_evolution``, ``kraus_matrices``, ``kraus_fidelity``,
+``trace_distance``) are one-item calls into the same stacked code, and a
+stack equals its one-item calls bit for bit.  Only the product basis of the
+multiplicity-collapse check runs one case at a time (its collapsed side is
+one stack): 192x192 matrices cost LAPACK time, not call overhead.
 
 The full system (x) bath evolution works in the collapsed occupation basis
 (dimension 3*(N+1), each level m carrying its binomial multiplicity as
@@ -58,8 +61,8 @@ __all__ = [
 BRUTE_FORCE_MAX_COLLAPSED = 12  # occupation basis, dimension 3*(N+1)
 BRUTE_FORCE_MAX_PRODUCT = 6  # full product basis, dimension 3*2^N
 # The survival-amplitude check exponentiates 5*cases drives as one stack, so
-# a suite's peak grows with cases: under tracemalloc it reads 23.5 MB at 4,000
-# cases and 56 MB at the cap.
+# a suite's peak grows with cases: under tracemalloc it reads 20.8 MB at 4,000
+# cases and 49.6 MB at the cap.
 MAX_VALIDATION_CASES = 10_000
 
 HERMITICITY_TOL = 1e-12
@@ -76,7 +79,9 @@ def expm_hermitian(h: np.ndarray, t) -> np.ndarray:
     stack goes through one batched eigendecomposition, whose results equal
     those of per-matrix calls bit for bit.
     """
-    return _expm_from_eigh(*_eigh_hermitian(h), t)
+    eigvals, eigvecs = _eigh_hermitian(h)
+    phases = np.exp(-1j * eigvals * np.asarray(t)[..., None])
+    return (eigvecs * phases[..., None, :]) @ np.swapaxes(eigvecs, -1, -2).conj()
 
 
 def _eigh_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -86,12 +91,6 @@ def _eigh_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if defect > HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian (max |H - H^dag| = {defect:.3e})")
     return np.linalg.eigh(h)
-
-
-def _expm_from_eigh(eigvals: np.ndarray, eigvecs: np.ndarray, t) -> np.ndarray:
-    """exp(-i h t) from the eigenpairs of h, so one decomposition serves many t."""
-    phases = np.exp(-1j * eigvals * np.asarray(t)[..., None])
-    return (eigvecs * phases[..., None, :]) @ np.swapaxes(eigvecs, -1, -2).conj()
 
 
 def raw_error_hamiltonian(p: LambdaParams, e: ErrorParams) -> np.ndarray:
@@ -110,12 +109,17 @@ def raw_error_hamiltonian(p: LambdaParams, e: ErrorParams) -> np.ndarray:
     common = e.zeta0 if p.theta == math.pi else e.zeta1
     drive0 = (1.0 + e.epsilon0) * cmath.exp(1j * (e.zeta0 - common)) * omega0
     drive1 = (1.0 + e.epsilon1) * cmath.exp(1j * (e.zeta1 - common)) * omega1
-    h = np.zeros((3, 3), dtype=complex)
-    h[2, 2] = (1.0 + e.kappa) * p.delta
-    h[2, 0] = drive0
-    h[0, 2] = np.conj(drive0)
-    h[2, 1] = drive1
-    h[1, 2] = np.conj(drive1)
+    return _lambda_hamiltonians(drive0, drive1, (1.0 + e.kappa) * p.delta)
+
+
+def _lambda_hamiltonians(drive0, drive1, detuning) -> np.ndarray:
+    """Lambda Hamiltonian(s) with |e> couplings drive0, drive1 and |e> energy ``detuning``."""
+    h = np.zeros(np.shape(detuning) + (3, 3), dtype=complex)
+    h[..., 2, 2] = detuning
+    h[..., 2, 0] = drive0
+    h[..., 0, 2] = np.conj(drive0)
+    h[..., 2, 1] = drive1
+    h[..., 1, 2] = np.conj(drive1)
     return h
 
 
@@ -149,8 +153,11 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _trace_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """trace_distance of each pair of matrices of two (..., n, n) stacks."""
-    return 0.5 * np.sum(np.abs(np.linalg.eigvalsh(a - b)), axis=-1)
+    """trace_distance of each pair of two (..., n, n) stacks; NaN for a non-finite pair."""
+    diff = np.asarray(a - b)
+    finite = np.all(np.isfinite(diff), axis=(-2, -1))  # LAPACK rejects or drops NaN
+    eigvals = np.linalg.eigvalsh(np.where(finite[..., None, None], diff, 0.0))
+    return np.where(finite, 0.5 * np.sum(np.abs(eigvals), axis=-1), np.nan)
 
 
 def full_evolution(
@@ -195,10 +202,9 @@ def _bath_levels(n: int, basis: str) -> tuple[np.ndarray, np.ndarray]:
 def _full_evolutions(cases, basis: str = "collapsed") -> np.ndarray:
     """full_evolution of each (p, e, b, gamma, psi) case, shape (len(cases), 3, 3).
 
-    The cases of one bath size share one stacked exponential.  Every
-    Hamiltonian and initial state is broadcast from the same products that
-    ``np.kron`` forms, so each case's result equals its one-case call bit
-    for bit.
+    The cases of one bath size share one stacked eigendecomposition, and
+    every step acts on each case alone, so each case's result equals its
+    one-case call bit for bit.
     """
     out = np.empty((len(cases), 3, 3), dtype=complex)
     by_size: dict[int, list[int]] = {}
@@ -224,27 +230,23 @@ def _full_evolutions(cases, basis: str = "collapsed") -> np.ndarray:
         # H_sys (x) 1 + 1 (x) diag(E) + gamma |e><e| (x) diag(m): the last two
         # terms are diagonal, so they are added to the diagonal in place.
         h_system = np.stack([raw_error_hamiltonian(p, e) for p, e in zip(params, errors)])
-        h_total = _kron_stack(h_system, np.eye(bath_dim))
+        h_total = (h_system[:, :, None, :, None] * np.eye(bath_dim)[:, None, :]).reshape(
+            len(index), 3 * bath_dim, 3 * bath_dim)
         diagonal = h_total.reshape(len(index), -1)[:, :: 3 * bath_dim + 1]  # a view
         diagonal += np.tile(bath_energies, 3)
         diagonal[:, 2 * bath_dim :] += np.array(gammas)[:, None] * occupations
 
+        # rho0 = |psi><psi| (x) diag(p_b), so the traced state sums the bath
+        # columns U(psi (x) b) weighted by p_b; V^dag (psi (x) b) reads only
+        # row block b of the eigenvectors, and U itself is never formed.
+        eigvals, eigvecs = _eigh_hermitian(h_total)
+        phases = np.exp(-1j * eigvals * np.array([p.tau0 for p in params])[:, None])
         kets = np.stack([_input_ket(p, psi) for p, psi in zip(params, states)])
-        rho_system = kets[:, :, None] * kets.conj()[:, None, :]
-        bath_rho = np.zeros((len(index), bath_dim, bath_dim), dtype=complex)
-        bath_rho[:, np.arange(bath_dim), np.arange(bath_dim)] = boltzmann
-        rho0 = _kron_stack(rho_system, bath_rho)
-        u = expm_hermitian(h_total, np.array([p.tau0 for p in params]))
-        rho = u @ rho0 @ np.swapaxes(u.conj(), -1, -2)
-        out[index] = partial_trace_bath(rho, bath_dim)
+        blocks = eigvecs.reshape(len(index), 3, bath_dim, 3 * bath_dim).conj()
+        overlaps = np.einsum("kibn,ki->knb", blocks, kets) * np.sqrt(boltzmann)[:, None, :]
+        columns = ((eigvecs * phases[:, None, :]) @ overlaps).reshape(len(index), 3, -1)
+        out[index] = columns @ np.swapaxes(columns.conj(), -1, -2)
     return out
-
-
-def _kron_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron(a[k], b[k]) of every 3x3 a[k] with its b[k] (b may be one shared matrix)."""
-    d = b.shape[-1]
-    product = a[:, :, None, :, None] * b[..., None, :, None, :]
-    return product.reshape(len(a), 3 * d, 3 * d)
 
 
 def cyclic_times(drives) -> np.ndarray:
@@ -256,17 +258,19 @@ def cyclic_times(drives) -> np.ndarray:
     lies in (t_ub/2, t_ub] with t_ub = 2*pi/max(2*omega, |delta|).  Every
     drive sees the midpoints its own bisection would, so the result does not
     depend on which other drives share the stack.  The stack is
-    eigendecomposed once; each bisection step only re-evaluates the phases.
+    eigendecomposed once, and <e|U(t)|b> = sum_n V_en (V^dag b)_n e^{-i w_n t},
+    so each bisection step is one exponential and one row sum.
     """
     eigvals, eigvecs = _eigh_hermitian(
         np.stack([raw_error_hamiltonian(p, _NO_ERRORS) for p in drives])
     )
-    bright = np.stack([_bright_ket(p) for p in drives])[..., None]
+    bright = np.stack([_bright_ket(p) for p in drives])
+    weights = eigvecs[:, 2, :] * np.sum(eigvecs.conj() * bright[:, :, None], axis=1)
     half_delta = 0.5j * np.array([p.delta for p in drives])
     t_ub = np.array([2.0 * math.pi / max(2.0 * p.omega, abs(p.delta)) for p in drives])
 
     def signal(t: np.ndarray, k) -> np.ndarray:
-        amp = (_expm_from_eigh(eigvals[k], eigvecs[k], t)[:, 2:3, :] @ bright[k])[:, 0, 0]
+        amp = np.sum(weights[k] * np.exp(-1j * eigvals[k] * t[:, None]), axis=-1)
         return (np.exp(half_delta[k] * t) * amp).imag
 
     lo = 0.5 * t_ub
@@ -283,6 +287,18 @@ def cyclic_times(drives) -> np.ndarray:
         f_lo[active[same]] = f_mid[same]
         hi[active[~same]] = mid[~same]
     return 0.5 * (lo + hi)
+
+
+def _survival_deviations(rows: np.ndarray) -> np.ndarray:
+    """|closed form - dense exponential| of the bright survival amplitude of each
+    (omega, delta, theta, phi, |e> shift, tau0 factor) drive row."""
+    omega, delta, theta, phi, shift, factor = rows.T
+    half, phase = 0.5 * theta, np.exp(1j * phi)
+    h = _lambda_hamiltonians(omega * phase * np.sin(half), -omega * np.cos(half), shift)
+    bright = np.stack([phase.conj() * np.sin(half), -np.cos(half), np.zeros_like(half)], axis=-1)
+    tau0s = 2.0 * math.pi / np.hypot(delta, 2.0 * omega) * factor
+    dense = np.einsum("ki,kij,kj->k", bright.conj(), expm_hermitian(h, tau0s), bright)
+    return np.abs(bright_survival_amplitude(omega, shift, tau0s, 2.0 * math.pi / tau0s) - dense)
 
 
 @dataclass(frozen=True)
@@ -357,11 +373,25 @@ def apply_kraus(kraus: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 def kraus_fidelity(ch: HolonomicChannel, kraus: np.ndarray, state: InputState) -> float:
     """F(psi) = [sum_m |<G psi|A_m|psi>|^2]^(1/2) from the dense Kraus matrices of ch."""
-    psi = _input_ket(ch.params, state)
-    target = ideal_gate(ch.params) @ psi
-    overlaps = np.einsum("i,mij,j->m", target.conj(), kraus, psi)
-    f2 = float(np.sum(np.abs(overlaps) ** 2))
-    return min(math.sqrt(f2), 1.0)
+    return float(_kraus_sums([ch], kraus, _input_ket(ch.params, state)[None])[3][0])
+
+
+def _kraus_sums(channels, kraus: np.ndarray, kets: np.ndarray):
+    """Per channel of a concatenated Kraus stack, kets[k] the input of channels[k]: sum
+    A^dag A, sum A A^dag, sum (A psi)(A psi)^dag and kraus_fidelity, each over its own
+    N+1 operators only, so equal to the one-channel call bit for bit."""
+    levels = [ch.bath.n_spins + 1 for ch in channels]
+    starts = np.cumsum([0] + levels[:-1])
+    adjoint = np.swapaxes(kraus.conj(), -1, -2)
+    images = np.einsum("mij,mj->mi", kraus, np.repeat(kets, levels, axis=0))
+    targets = np.stack([ideal_gate(ch.params) @ ket for ch, ket in zip(channels, kets)])
+    overlaps = np.einsum("mi,mi->m", np.repeat(targets.conj(), levels, axis=0), images)
+    return (
+        np.add.reduceat(adjoint @ kraus, starts),
+        np.add.reduceat(kraus @ adjoint, starts),
+        np.add.reduceat(images[:, :, None] * images.conj()[:, None, :], starts),
+        np.minimum(np.sqrt(np.add.reduceat(np.abs(overlaps) ** 2, starts)), 1.0),
+    )
 
 
 def channel_output_state(ch: HolonomicChannel, state: InputState) -> np.ndarray:
@@ -399,27 +429,19 @@ def run_validation_suite(
     for start in range(0, cases, _BLOCK_CASES):
         block = [_random_case(rng, max_spins) for _ in range(min(_BLOCK_CASES, cases - start))]
         channels = [build_channel(p, e, bath, gamma) for p, e, bath, gamma, _ in block]
-        kraus_stack = _kraus_matrices(channels)
-        offsets = np.cumsum([ch.bath.n_spins + 1 for ch in channels])[:-1]
-        rho_fast = []
-        for (p, _, _, _, state), ch, kraus in zip(block, channels, np.split(kraus_stack, offsets)):
-            ket = _input_ket(p, state)
-            rho_fast.append(apply_kraus(kraus, np.outer(ket, ket.conj())))
-            completeness = np.einsum("mji,mjk->ik", kraus.conj(), kraus)
-            unitality = np.einsum("mij,mkj->ik", kraus, kraus.conj())
-            worst_complete = np.maximum(worst_complete, np.max(np.abs(completeness - identity)))
-            worst_unital = np.maximum(worst_unital, np.max(np.abs(unitality - identity)))
-            diff = abs(state_fidelity(ch, state) - kraus_fidelity(ch, kraus, state))
-            worst_fidelity = np.maximum(worst_fidelity, diff)
-        distances = _trace_distances(np.stack(rho_fast), _full_evolutions(block))
+        kets = np.stack([_input_ket(p, state) for p, *_, state in block])
+        completeness, unitality, rho_fast, dense_fidelity = _kraus_sums(
+            channels, _kraus_matrices(channels), kets)
+        worst_complete = np.maximum(worst_complete, np.max(np.abs(completeness - identity)))
+        worst_unital = np.maximum(worst_unital, np.max(np.abs(unitality - identity)))
+        fast_fidelity = [state_fidelity(ch, case[-1]) for ch, case in zip(channels, block)]
+        worst_fidelity = np.maximum(worst_fidelity, np.max(np.abs(fast_fidelity - dense_fidelity)))
+        distances = _trace_distances(rho_fast, _full_evolutions(block))
         worst_channel = np.maximum(worst_channel, np.max(distances))
 
-    worst_collapse = 0.0
-    for _ in range(max(4, cases // 10)):
-        p, e, bath, gamma, state = _random_case(rng, BRUTE_FORCE_MAX_PRODUCT)
-        rho_col = full_evolution(p, e, bath, gamma, state, basis="collapsed")
-        rho_prod = full_evolution(p, e, bath, gamma, state, basis="product")
-        worst_collapse = np.maximum(worst_collapse, trace_distance(rho_col, rho_prod))
+    collapse = [_random_case(rng, BRUTE_FORCE_MAX_PRODUCT) for _ in range(max(4, cases // 10))]
+    rho_prod = np.stack([full_evolution(*case, basis="product") for case in collapse])
+    worst_collapse = np.max(_trace_distances(_full_evolutions(collapse), rho_prod))
 
     # Each drive runs for the cyclic time tau0 of an ideal drive with gap
     # 2*pi/tau0, which is all the closed form assumes of its last arguments.
@@ -427,23 +449,8 @@ def run_validation_suite(
     # tau0 factor: the same doubles as one scalar draw after another.
     low = [1e-3, -10.0, 0.0, 0.0, -10.0, 0.2]
     high = [10.0, 10.0, math.pi, 2.0 * math.pi, 10.0, 3.0]
-    drives, shifts, tau0s = [], [], []
-    for omega, delta, theta, phi, shift, factor in rng.uniform(
-        low, high, size=(max(50, 5 * cases), 6)
-    ).tolist():
-        drives.append(LambdaParams(omega=omega, delta=delta, theta=theta, phi=phi))
-        shifts.append(shift)
-        tau0s.append(drives[-1].tau0 * factor)
-    h = np.stack([raw_error_hamiltonian(p, _NO_ERRORS) for p in drives])
-    h[:, 2, 2] = shifts
-    bright = np.stack([_bright_ket(p) for p in drives])
-    u = expm_hermitian(h, np.array(tau0s))
-    dense = np.einsum("ki,kij,kj->k", bright.conj(), u, bright)
-    closed = np.array([
-        bright_survival_amplitude(p.omega, shift, t, 2.0 * math.pi / t)
-        for p, shift, t in zip(drives, shifts, tau0s)
-    ])
-    worst_survival = float(np.max(np.abs(closed - dense)))
+    rows = rng.uniform(low, high, size=(max(50, 5 * cases), 6))
+    worst_survival = float(np.max(_survival_deviations(rows)))
 
     cyclic = [
         LambdaParams(omega=rng.uniform(0.05, 10.0), delta=rng.uniform(-10.0, 10.0))

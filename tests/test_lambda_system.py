@@ -236,6 +236,31 @@ class TestSurvivalAmplitude:
         with pytest.raises(ValueError):
             bright_survival_amplitude(1.0, 2.0, params.tau0, 0.0)
 
+    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 40))
+    @settings(max_examples=40, deadline=None)
+    def test_array_call_equals_scalar_calls(self, seed, count):
+        # One entry per drive in every argument, as the validation suite calls it.
+        rng = np.random.default_rng(seed)
+        omegas = rng.uniform(1e-3, 10.0, count)
+        shifts = rng.uniform(-10.0, 10.0, count)
+        tau0s = rng.uniform(0.1, 5.0, count)
+        amps = bright_survival_amplitude(omegas, shifts, tau0s, 2.0 * math.pi / tau0s)
+        assert amps.shape == (count,)
+        singles = [
+            bright_survival_amplitude(omega, shift, tau0, 2.0 * math.pi / tau0)
+            for omega, shift, tau0 in zip(omegas.tolist(), shifts.tolist(), tau0s.tolist())
+        ]
+        assert amps.tolist() == singles
+
+    @pytest.mark.parametrize("bad", [math.nan, 0.0, -1.0])
+    def test_rejects_arrays_with_a_bad_entry(self, params, bad):
+        good = np.array([0.5, 1.0, 2.0])
+        with_bad = np.array([0.5, bad, 2.0])
+        with pytest.raises(ValueError, match="omega_eff must be positive"):
+            bright_survival_amplitude(with_bad, good, params.tau0, good)
+        with pytest.raises(ValueError, match="delta0 must be positive"):
+            bright_survival_amplitude(good, good, params.tau0, with_bad)
+
 
 class TestIdealGate:
     def test_resonant_gate_is_reflection(self):

@@ -16,7 +16,6 @@ from holobath.reference import (
     BRUTE_FORCE_MAX_COLLAPSED,
     BRUTE_FORCE_MAX_PRODUCT,
     MAX_VALIDATION_CASES,
-    _bright_ket,
     _input_ket,
     _random_case,
     apply_kraus,
@@ -65,19 +64,19 @@ def scalar_cyclic_time(p):
 
 
 def per_case_suite(cases, seed, max_spins):
-    """The validation suite one case at a time through the one-case oracles, as a reference."""
+    """The validation suite one case (or drive) at a time, through one-item calls
+    of the suite's stacked helpers, as a reference for the stacked suite."""
     rng = np.random.default_rng(seed)
     worst_channel = worst_complete = worst_unital = worst_fidelity = 0.0
     for _ in range(cases):
         p, e, bath, gamma, state = _random_case(rng, max_spins)
         ch = build_channel(p, e, bath, gamma)
         kraus = kraus_matrices(ch)
-        ket = _input_ket(p, state)
-        rho_fast = apply_kraus(kraus, np.outer(ket, ket.conj()))
+        completeness, unitality, rho_fast, _ = (
+            sums[0] for sums in reference._kraus_sums([ch], kraus, _input_ket(p, state)[None])
+        )
         rho_exact = full_evolution(p, e, bath, gamma, state)
         worst_channel = max(worst_channel, trace_distance(rho_fast, rho_exact))
-        completeness = np.einsum("mji,mjk->ik", kraus.conj(), kraus)
-        unitality = np.einsum("mij,mkj->ik", kraus, kraus.conj())
         worst_complete = max(worst_complete, np.max(np.abs(completeness - np.eye(3))))
         worst_unital = max(worst_unital, np.max(np.abs(unitality - np.eye(3))))
         diff = abs(state_fidelity(ch, state) - kraus_fidelity(ch, kraus, state))
@@ -90,25 +89,10 @@ def per_case_suite(cases, seed, max_spins):
         rho_prod = full_evolution(p, e, bath, gamma, state, basis="product")
         worst_collapse = max(worst_collapse, trace_distance(rho_col, rho_prod))
 
-    drives, shifts, tau0s = [], [], []
-    for _ in range(max(50, 5 * cases)):
-        drives.append(LambdaParams(
-            omega=rng.uniform(1e-3, 10.0),
-            delta=rng.uniform(-10.0, 10.0),
-            theta=rng.uniform(0.0, math.pi),
-            phi=rng.uniform(0.0, 2.0 * math.pi),
-        ))
-        shifts.append(rng.uniform(-10.0, 10.0))
-        tau0s.append(drives[-1].tau0 * rng.uniform(0.2, 3.0))
-    h = np.stack([raw_error_hamiltonian(p, ErrorParams()) for p in drives])
-    h[:, 2, 2] = shifts
-    bright = np.stack([_bright_ket(p) for p in drives])
-    dense = np.einsum("ki,kij,kj->k", bright.conj(), expm_hermitian(h, np.array(tau0s)), bright)
-    closed = np.array([
-        bright_survival_amplitude(p.omega, shift, t, 2.0 * math.pi / t)
-        for p, shift, t in zip(drives, shifts, tau0s)
-    ])
-    worst_survival = float(np.max(np.abs(closed - dense)))
+    low = [1e-3, -10.0, 0.0, 0.0, -10.0, 0.2]
+    high = [10.0, 10.0, math.pi, 2.0 * math.pi, 10.0, 3.0]
+    rows = rng.uniform(low, high, size=(max(50, 5 * cases), 6))
+    worst_survival = max(float(reference._survival_deviations(row[None])[0]) for row in rows)
 
     cyclic = [
         LambdaParams(omega=rng.uniform(0.05, 10.0), delta=rng.uniform(-10.0, 10.0))
@@ -117,6 +101,23 @@ def per_case_suite(cases, seed, max_spins):
     worst_cyclic = max(abs(float(cyclic_times([p])[0]) - p.tau0) for p in cyclic)
     return [worst_channel, worst_collapse, worst_complete, worst_unital, worst_fidelity,
             worst_survival, worst_cyclic]
+
+
+def dense_full_evolution(p, e, b, gamma, psi, basis):
+    """The exact evolution through the dense U rho0 U^dag and its partial trace, as a
+    reference for the column-only stack."""
+    occupations, multiplicities = reference._bath_levels(b.n_spins, basis)
+    d = occupations.size
+    exponents = np.array([-b.beta_alpha * m if m > 0 else 0.0 for m in occupations])
+    weights = multiplicities * np.exp(exponents)
+    weights /= weights.sum()
+    h = (np.kron(raw_error_hamiltonian(p, e), np.eye(d))
+         + np.kron(np.eye(3), np.diag(b.alpha * (occupations - 0.5 * b.n_spins)))
+         + gamma * np.kron(np.diag([0.0, 0.0, 1.0]), np.diag(occupations)))
+    ket = _input_ket(p, psi)
+    rho0 = np.kron(np.outer(ket, ket.conj()), np.diag(weights))
+    u = expm_hermitian(h, p.tau0)
+    return partial_trace_bath(u @ rho0 @ u.conj().T, d)
 
 
 def count_calls(monkeypatch, names):
@@ -292,6 +293,19 @@ class TestFullEvolution:
         with pytest.raises(ValueError, match="basis"):
             full_evolution(params, ErrorParams(), bath, 1.0, InputState(1.0), basis="spam")
 
+    @pytest.mark.parametrize("basis, n_spins", [
+        ("collapsed", 1), ("collapsed", 8), ("collapsed", BRUTE_FORCE_MAX_COLLAPSED),
+        ("product", 3), ("product", BRUTE_FORCE_MAX_PRODUCT),
+    ])
+    @pytest.mark.parametrize("beta", [0.4, math.inf, 0.0])
+    def test_columns_match_dense_evolution(self, basis, n_spins, beta):
+        # Propagating only the input columns must give the dense U rho0 U^dag.
+        p = LambdaParams(omega=1.3, delta=-2.1, theta=2.2, phi=4.0)
+        bath = SpinBath(n_spins=n_spins, alpha=3.0, beta=beta)
+        case = (p, ErrorParams(0.1, -0.2, 0.4, -0.9, 0.15), bath, 2.3, InputState(1.1, 5.3))
+        rho = full_evolution(*case, basis=basis)
+        assert np.max(np.abs(rho - dense_full_evolution(*case, basis))) <= 1e-14
+
     def test_partial_trace_preserves_trace(self):
         rng = np.random.default_rng(3)
         raw = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
@@ -364,13 +378,14 @@ class TestValidationSuite:
     ])
     def test_stacked_suite_equals_per_case_suite(self, cases, seed, max_spins):
         # Several blocks, a short last block and the N = 12 cap: the stacks
-        # must reproduce the one-case oracles bit for bit.
+        # must reproduce their one-item calls bit for bit.
         stacked = [check.worst for check in run_validation_suite(cases, seed, max_spins)]
         assert stacked == per_case_suite(cases, seed, max_spins)
 
     def test_eigendecompositions_are_stacked(self, monkeypatch):
         # Per block: one eigh for the Kraus stack, one per bath size and one
-        # eigvalsh.  The collapse check adds two eigh and one eigvalsh per case.
+        # eigvalsh.  The collapse check adds one eigh per case (product basis),
+        # one per bath size (collapsed side) and one eigvalsh.
         counts = count_calls(monkeypatch, ("eigh", "eigvalsh"))
         run_validation_suite(cases=40, seed=2024)
         assert counts["eigh"] <= 30
@@ -381,6 +396,39 @@ class TestValidationSuite:
         checks = {check.name: check for check in run_validation_suite(cases=3, seed=1)}
         failed = [name for name, check in checks.items() if not check.passed]
         assert failed == ["fidelity kernel vs dense Kraus fidelity"]
+
+    def test_nan_in_one_kraus_operator_fails_the_kraus_sums(self, monkeypatch):
+        # The sums of a block run as one stack; a NaN in one case must still surface.
+        def planted(channels, _original=reference._kraus_matrices):
+            kraus = _original(channels)
+            kraus[1, 0, 0] = math.nan
+            return kraus
+
+        monkeypatch.setattr(reference, "_kraus_matrices", planted)
+        checks = {check.name: check for check in run_validation_suite(cases=3, seed=1)}
+        failed = {name for name, check in checks.items() if not check.passed}
+        assert {"Kraus completeness", "Kraus unitality"} <= failed
+
+    def test_survival_check_is_one_array_call(self, monkeypatch):
+        # The survival check draws its drives as rows: one closed-form call for
+        # all of them and no LambdaParams per drive.
+        closed_calls, params_built = [], [0]
+
+        def counted_closed(omega_eff, *args):
+            closed_calls.append(np.ndim(omega_eff))
+            return bright_survival_amplitude(omega_eff, *args)
+
+        def counted_params(*args, **kwargs):
+            params_built[0] += 1
+            return LambdaParams(*args, **kwargs)
+
+        monkeypatch.setattr(reference, "bright_survival_amplitude", counted_closed)
+        monkeypatch.setattr(reference, "LambdaParams", counted_params)
+        cases = 40
+        run_validation_suite(cases=cases, seed=3)
+        assert closed_calls == [1]
+        # One per random case (per-case checks and collapse check) and one per cyclic drive.
+        assert params_built[0] == cases + max(4, cases // 10) + max(10, cases // 4)
 
     def test_peak_memory_is_bounded_by_the_block(self):
         tracemalloc.start()
