@@ -20,10 +20,11 @@ evolution propagates only the columns U(psi (x) b) that the partial trace
 reads, never U or rho itself.  The survival check is one array pass, and the
 cyclic-time search eigendecomposes its drives once, before bisecting.  The
 one-case oracles (``full_evolution``, ``kraus_matrices``, ``kraus_fidelity``,
-``trace_distance``) are one-item calls into the same stacked code, and a
-stack equals its one-item calls bit for bit.  Only the product basis of the
-multiplicity-collapse check runs one case at a time (its collapsed side is
-one stack): 192x192 matrices cost LAPACK time, not call overhead.
+``channel_output_state``) are one-item calls into the same stacked code, and
+``trace_distance`` takes one pair or two stacks; a stack equals its one-item
+calls bit for bit.  Only the product basis of the multiplicity-collapse check
+runs one case at a time (its collapsed side is one stack): 192x192 matrices
+cost LAPACK time, not call overhead.
 
 The full system (x) bath evolution works in the collapsed occupation basis
 (dimension 3*(N+1), each level m carrying its binomial multiplicity as
@@ -50,9 +51,11 @@ __all__ = [
     "expm_hermitian",
     "raw_error_hamiltonian",
     "full_evolution",
-    "partial_trace_bath",
     "trace_distance",
     "cyclic_times",
+    "kraus_matrices",
+    "kraus_fidelity",
+    "channel_output_state",
     "CheckResult",
     "MAX_VALIDATION_CASES",
     "run_validation_suite",
@@ -140,24 +143,14 @@ def _input_ket(p: LambdaParams, state: InputState) -> np.ndarray:
     return math.cos(vhalf) * dark + cmath.exp(1j * state.xi) * math.sin(vhalf) * bright
 
 
-def partial_trace_bath(rho: np.ndarray, bath_dim: int) -> np.ndarray:
-    """Trace a (3*bath_dim) x (3*bath_dim) system(x)bath state, or a stack, down to the system."""
-    rho = np.asarray(rho)
-    reshaped = rho.reshape(rho.shape[:-2] + (3, bath_dim, 3, bath_dim))
-    return np.einsum("...ikjk->...ij", reshaped)
-
-
-def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """(1/2) ||a - b||_1 for Hermitian matrices."""
-    return float(_trace_distances(a, b))
-
-
-def _trace_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """trace_distance of each pair of two (..., n, n) stacks; NaN for a non-finite pair."""
+def trace_distance(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
+    """(1/2) ||a - b||_1 of two Hermitian matrices, or of each pair of two (..., n, n)
+    stacks as an array; NaN for a non-finite pair."""
     diff = np.asarray(a - b)
     finite = np.all(np.isfinite(diff), axis=(-2, -1))  # LAPACK rejects or drops NaN
     eigvals = np.linalg.eigvalsh(np.where(finite[..., None, None], diff, 0.0))
-    return np.where(finite, 0.5 * np.sum(np.abs(eigvals), axis=-1), np.nan)
+    distances = np.where(finite, 0.5 * np.sum(np.abs(eigvals), axis=-1), np.nan)
+    return float(distances) if distances.ndim == 0 else distances
 
 
 def full_evolution(
@@ -339,18 +332,13 @@ def _random_case(rng: np.random.Generator, max_spins: int):
     return p, e, bath, gamma, state
 
 
-def kraus_unitaries(ch: HolonomicChannel) -> np.ndarray:
-    """U_m = exp(-i (H' + gamma m |e><e|) tau0) of a scalar-gamma channel, shape (N+1, 3, 3)."""
-    return _kraus_unitaries([ch])
-
-
 def kraus_matrices(ch: HolonomicChannel) -> np.ndarray:
     """Stacked Kraus operators sqrt(p_m) * U_m, shape (N+1, 3, 3)."""
     return _kraus_matrices([ch])
 
 
 def _kraus_unitaries(channels) -> np.ndarray:
-    """kraus_unitaries of every channel, concatenated into one (sum of N+1, 3, 3) stack."""
+    """U_m = exp(-i (H' + gamma m |e><e|) tau0) of scalar-gamma channels, shape (sum N+1, 3, 3)."""
     if any(np.ndim(ch.gamma) for ch in channels):
         raise ValueError("dense Kraus matrices need a scalar-gamma channel")
     levels = np.array([ch.bath.n_spins + 1 for ch in channels])
@@ -364,11 +352,6 @@ def _kraus_matrices(channels) -> np.ndarray:
     """kraus_matrices of every channel, concatenated into one (sum of N+1, 3, 3) stack."""
     weights = np.concatenate([ch.weights for ch in channels])
     return np.sqrt(weights)[:, None, None] * _kraus_unitaries(channels)
-
-
-def apply_kraus(kraus: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Channel action sum_m A_m rho A_m^dag on a 3x3 density matrix."""
-    return np.einsum("mij,jk,mlk->il", kraus, np.asarray(rho, dtype=complex), kraus.conj())
 
 
 def kraus_fidelity(ch: HolonomicChannel, kraus: np.ndarray, state: InputState) -> float:
@@ -395,9 +378,8 @@ def _kraus_sums(channels, kraus: np.ndarray, kets: np.ndarray):
 
 
 def channel_output_state(ch: HolonomicChannel, state: InputState) -> np.ndarray:
-    """Channel output density matrix for a pure input, via the Kraus ensemble."""
-    ket = _input_ket(ch.params, state)
-    return apply_kraus(kraus_matrices(ch), np.outer(ket, ket.conj()))
+    """Channel output sum_m (A_m psi)(A_m psi)^dag for a pure input, via the Kraus ensemble."""
+    return _kraus_sums([ch], kraus_matrices(ch), _input_ket(ch.params, state)[None])[2][0]
 
 
 def run_validation_suite(
@@ -436,12 +418,12 @@ def run_validation_suite(
         worst_unital = np.maximum(worst_unital, np.max(np.abs(unitality - identity)))
         fast_fidelity = [state_fidelity(ch, case[-1]) for ch, case in zip(channels, block)]
         worst_fidelity = np.maximum(worst_fidelity, np.max(np.abs(fast_fidelity - dense_fidelity)))
-        distances = _trace_distances(rho_fast, _full_evolutions(block))
+        distances = trace_distance(rho_fast, _full_evolutions(block))
         worst_channel = np.maximum(worst_channel, np.max(distances))
 
     collapse = [_random_case(rng, BRUTE_FORCE_MAX_PRODUCT) for _ in range(max(4, cases // 10))]
     rho_prod = np.stack([full_evolution(*case, basis="product") for case in collapse])
-    worst_collapse = np.max(_trace_distances(_full_evolutions(collapse), rho_prod))
+    worst_collapse = np.max(trace_distance(_full_evolutions(collapse), rho_prod))
 
     # Each drive runs for the cyclic time tau0 of an ideal drive with gap
     # 2*pi/tau0, which is all the closed form assumes of its last arguments.

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import holobath.channel as channel_mod
+from holobath import reference
 from holobath.channel import (
     MAX_KERNEL_ELEMENTS,
     InputState,
@@ -21,11 +22,10 @@ from holobath.error_model import ErrorParams
 from holobath.lambda_system import LambdaParams, bright_survival_amplitude, ideal_gate
 from holobath.reference import (
     _input_ket,
-    apply_kraus,
+    channel_output_state,
     cyclic_times,
     kraus_fidelity,
     kraus_matrices,
-    kraus_unitaries,
 )
 from holobath.spin_bath import SpinBath, thermal_weights
 from holobath.sweep import FIGURE_GRID, MAX_GRID_POINTS
@@ -95,12 +95,12 @@ class TestBuildChannel:
     def test_zero_error_zero_coupling_is_the_ideal_gate(self, params, bath50):
         ch = build_channel(params, ErrorParams(), bath50, 0.0)
         gate = ideal_gate(params)
-        for unitary in kraus_unitaries(ch):
+        for unitary in reference._kraus_unitaries([ch]):
             np.testing.assert_allclose(unitary, gate, atol=1e-12)
 
     def test_zero_coupling_factors_are_identical(self, params, bath50):
         ch = build_channel(params, ErrorParams.symmetric(0.17), bath50, 0.0)
-        unitaries = kraus_unitaries(ch)
+        unitaries = reference._kraus_unitaries([ch])
         for unitary in unitaries:
             np.testing.assert_allclose(unitary, unitaries[0], atol=0.0, rtol=0.0)
 
@@ -123,8 +123,7 @@ class TestBuildChannel:
         ch = build_channel(params, symmetric_errors, cold, 2.8)
         assert ch.weights[0] == pytest.approx(1.0, abs=1e-12)
         # the channel then acts as a single unitary: pure outputs
-        ket = _input_ket(params, InputState(1.1, 0.3))
-        rho = apply_kraus(kraus_matrices(ch), np.outer(ket, ket.conj()))
+        rho = channel_output_state(ch, InputState(1.1, 0.3))
         purity = float(np.trace(rho @ rho).real)
         assert purity == pytest.approx(1.0, abs=1e-10)
 
@@ -140,10 +139,21 @@ class TestBuildChannel:
 
     def test_apply_preserves_trace_and_hermiticity(self, params, bath50, symmetric_errors):
         ch = build_channel(params, symmetric_errors, bath50, 2.8)
-        ket = _input_ket(params, InputState(2.0, 0.9))
-        rho = apply_kraus(kraus_matrices(ch), np.outer(ket, ket.conj()))
+        rho = channel_output_state(ch, InputState(2.0, 0.9))
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(rho, rho.conj().T, atol=1e-13)
+
+    @given(case=channel_cases(), beta_alpha=st.sampled_from([0.0, 0.7, math.inf]))
+    @settings(max_examples=60, deadline=None)
+    def test_output_state_matches_kraus_action(self, case, beta_alpha):
+        # An independent sum_m A_m rho A_m^dag on the density matrix itself,
+        # against the Kraus-image sum the validation suite runs.
+        p, e, bath, gamma, state = case
+        bath = SpinBath(bath.n_spins, bath.alpha, beta_alpha / bath.alpha)
+        ch = build_channel(p, e, bath, gamma)
+        kraus, ket = kraus_matrices(ch), _input_ket(p, state)
+        expected = np.einsum("mij,jk,mlk->il", kraus, np.outer(ket, ket.conj()), kraus.conj())
+        assert np.max(np.abs(channel_output_state(ch, state) - expected)) <= 1e-15
 
     def test_zero_temperature_limit_is_the_ground_state(self, params, symmetric_errors):
         # beta = inf is the T -> 0 limit, not 0*inf = NaN

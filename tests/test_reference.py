@@ -1,4 +1,5 @@
 import cmath
+import inspect
 import math
 import tracemalloc
 
@@ -18,15 +19,12 @@ from holobath.reference import (
     MAX_VALIDATION_CASES,
     _input_ket,
     _random_case,
-    apply_kraus,
     channel_output_state,
     cyclic_times,
     expm_hermitian,
     full_evolution,
     kraus_fidelity,
     kraus_matrices,
-    kraus_unitaries,
-    partial_trace_bath,
     raw_error_hamiltonian,
     run_validation_suite,
     trace_distance,
@@ -72,9 +70,10 @@ def per_case_suite(cases, seed, max_spins):
         p, e, bath, gamma, state = _random_case(rng, max_spins)
         ch = build_channel(p, e, bath, gamma)
         kraus = kraus_matrices(ch)
-        completeness, unitality, rho_fast, _ = (
+        completeness, unitality, _, _ = (
             sums[0] for sums in reference._kraus_sums([ch], kraus, _input_ket(p, state)[None])
         )
+        rho_fast = channel_output_state(ch, state)
         rho_exact = full_evolution(p, e, bath, gamma, state)
         worst_channel = max(worst_channel, trace_distance(rho_fast, rho_exact))
         worst_complete = max(worst_complete, np.max(np.abs(completeness - np.eye(3))))
@@ -117,7 +116,8 @@ def dense_full_evolution(p, e, b, gamma, psi, basis):
     ket = _input_ket(p, psi)
     rho0 = np.kron(np.outer(ket, ket.conj()), np.diag(weights))
     u = expm_hermitian(h, p.tau0)
-    return partial_trace_bath(u @ rho0 @ u.conj().T, d)
+    rho = u @ rho0 @ u.conj().T
+    return np.einsum("ikjk->ij", rho.reshape(3, d, 3, d))
 
 
 def count_calls(monkeypatch, names):
@@ -213,7 +213,7 @@ class TestFullEvolution:
         small = SpinBath(n_spins=6, alpha=bath50.alpha, beta=bath50.beta)
         rho = full_evolution(params, errors, small, 0.0, state)
         ch = build_channel(params, errors, small, 0.0)
-        ket = kraus_unitaries(ch)[0] @ _input_ket(params, state)
+        ket = reference._kraus_unitaries([ch])[0] @ _input_ket(params, state)
         np.testing.assert_allclose(rho, np.outer(ket, ket.conj()), atol=1e-12)
 
     def test_density_matrix_properties(self, params):
@@ -306,13 +306,25 @@ class TestFullEvolution:
         rho = full_evolution(*case, basis=basis)
         assert np.max(np.abs(rho - dense_full_evolution(*case, basis))) <= 1e-14
 
-    def test_partial_trace_preserves_trace(self):
-        rng = np.random.default_rng(3)
-        raw = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
-        rho = raw @ raw.conj().T
-        rho /= np.trace(rho)
-        reduced = partial_trace_bath(rho, 4)
-        assert np.trace(reduced) == pytest.approx(1.0, abs=1e-12)
+
+class TestTraceDistance:
+    def test_stack_equals_pairwise_calls(self):
+        # One pair with a NaN: its distance is NaN and the others are unaffected.
+        rng = np.random.default_rng(5)
+        a = np.stack([random_hermitian(rng, 3) for _ in range(5)])
+        b = np.stack([random_hermitian(rng, 3) for _ in range(5)])
+        a[2, 1, 0] = math.nan
+        stacked = trace_distance(a, b)
+        pairwise = [trace_distance(x, y) for x, y in zip(a, b)]
+        assert all(isinstance(d, float) for d in pairwise)
+        assert math.isnan(stacked[2]) and math.isnan(pairwise[2])
+        assert [float(d) for d in np.delete(stacked, 2)] == pairwise[:2] + pairwise[3:]
+
+    def test_pure_states(self):
+        # Orthogonal pure states are one apart, identical ones zero.
+        up, down = np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 0.0])
+        assert trace_distance(up, down) == pytest.approx(1.0, abs=1e-15)
+        assert trace_distance(up, up) == 0.0
 
 
 class TestFindCyclicTime:
@@ -363,6 +375,18 @@ class TestFindCyclicTime:
         together = [float(t) for t in cyclic_times(drives)]
         assert together == [float(cyclic_times([p])[0]) for p in drives]
         assert together == [scalar_cyclic_time(p) for p in drives]
+
+
+class TestPublicApi:
+    def test_all_names_the_public_api(self):
+        defined = {
+            name for name, value in vars(reference).items()
+            if not name.startswith("_")
+            and (inspect.isfunction(value) or inspect.isclass(value))
+            and value.__module__ == reference.__name__
+        }
+        assert defined <= set(reference.__all__)
+        assert all(hasattr(reference, name) for name in reference.__all__)
 
 
 class TestValidationSuite:
