@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import math
 import re
 import sys
 from pathlib import Path
@@ -254,6 +255,8 @@ def cmd_fidelity(args) -> int:
     # Evaluate before printing, so a rejected input leaves stdout empty.
     varthetas, values = fidelity_curve(ch, args.n_states)
     f_av = _sin_weighted_average(varthetas, values)
+    if not math.isfinite(f_av):
+        raise ValueError("F_av is not finite; an input overflows the kernel")
     eff = ch.effective
     print(f"tau0_ns = {params.tau0:.9f}   chi_rad = {params.chi:.9f}")
     print(

@@ -8,10 +8,11 @@ golden-section step recomputes only the survival amplitudes, the bath
 reduction and the average.  Values are formatted to 12 significant digits,
 which makes the emitted CSV byte-identical for identical configurations.
 
-Two optima matter for a fidelity curve: the refined global maximum (which sits
-at gamma = 0 whenever the bath cannot beat the bare errored gate) and the best
+Two optima matter for a fidelity curve: the global maximum (which sits at
+gamma = 0 whenever the bath cannot beat the bare errored gate) and the best
 *interior* local maximum, the bath-assisted operating point one would actually
-tune to.  Both are reported, both refined with the curve's objective.
+tune to.  A global maximum on a grid edge is reported as that grid point, and
+any other is the best interior maximum, so both share one golden-section search.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import math
 import os
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -45,7 +46,6 @@ __all__ = [
     "run_sweep",
     "optimize_gamma",
     "golden_section_maximize",
-    "refine_global_optimum",
     "refine_interior_optimum",
     "reproduce",
     "ReproduceReport",
@@ -221,9 +221,11 @@ def _sweep(cfg: SweepConfig) -> tuple[SweepResult, list[Callable]]:
     gammas = cfg.grid.values()
     labels = cfg.labels()
     curves, objectives = [], []
-    for errors in cfg.error_settings:
+    for label, errors in zip(labels, cfg.error_settings):
         ch = _with_curve_terms(build_channel(cfg.params, errors, cfg.bath, gammas), cfg.n_states)
         curves.append(average_fidelity(ch, cfg.n_states))
+        if not np.isfinite(curves[-1]).all():
+            raise ValueError(f"F_av of curve {label} is not finite; an input overflows the kernel")
         objectives.append(_f_av_objective(ch, cfg.n_states))
         del ch  # the objective keeps no grid array, so one curve's survival is held at a time
     result = SweepResult(
@@ -272,28 +274,6 @@ def golden_section_maximize(f, lo: float, hi: float):
     return b, fb
 
 
-def _refine_bracket(f, gammas: np.ndarray, values: np.ndarray, best: int,
-                    label: str) -> CurveOptimum:
-    """Refine grid point ``best`` between its neighbours; keep the grid point if it is higher."""
-    x, fx = golden_section_maximize(f, float(gammas[best - 1]), float(gammas[best + 1]))
-    if values[best] > fx:
-        x, fx = float(gammas[best]), float(values[best])
-    return CurveOptimum(label, x, fx, on_boundary=False)
-
-
-def refine_global_optimum(f, gammas: np.ndarray, values: np.ndarray, label: str) -> CurveOptimum:
-    """Grid argmax refined by golden-section search on the bracketing interval.
-
-    A maximum on the first or last grid point cannot be bracketed; it is
-    returned as-is with the boundary flag raised (the true optimum may lie
-    outside the scanned range).
-    """
-    grid = _grid_optimum(gammas, values, label)
-    if grid.on_boundary:
-        return grid
-    return _refine_bracket(f, gammas, values, int(np.argmax(values)), label)
-
-
 def refine_interior_optimum(f, gammas: np.ndarray, values: np.ndarray,
                             label: str) -> CurveOptimum | None:
     """Best interior local maximum, refined; None when the curve has none.
@@ -309,18 +289,24 @@ def refine_interior_optimum(f, gammas: np.ndarray, values: np.ndarray,
     if not candidates:
         return None
     best = max(candidates, key=lambda i: values[i])
-    return _refine_bracket(f, gammas, values, best, label)
+    x, fx = golden_section_maximize(f, float(gammas[best - 1]), float(gammas[best + 1]))
+    if values[best] > fx:  # keep the grid point when the search lands lower
+        x, fx = float(gammas[best]), float(values[best])
+    return CurveOptimum(label, x, fx, on_boundary=False)
 
 
 def optimize_gamma(cfg: SweepConfig) -> list[CurveOptimum]:
     """Refined global optimum of F_av(gamma) for every error setting.
 
-    Runs the grid sweep first, then polishes each argmax by golden-section
-    search until the bracket is narrower than REFINE_TOL.
+    A grid argmax on the first or last grid point cannot be bracketed and is
+    returned as-is, flagged (the true optimum may lie outside the scanned
+    range); any other is the best interior maximum, refined to REFINE_TOL.
     """
     result, objectives = _sweep(cfg)
-    return [refine_global_optimum(f, result.gammas, values, label)
-            for f, label, values in zip(objectives, result.labels, result.curves)]
+    return [
+        grid if grid.on_boundary else refine_interior_optimum(f, result.gammas, values, grid.label)
+        for f, values, grid in zip(objectives, result.curves, result.grid_optima)
+    ]
 
 
 # --- figure reproduction -----------------------------------------------------
@@ -471,12 +457,11 @@ def reproduce(figure: str, out_dir: str) -> ReproduceReport:
         bath = SpinBath.from_temperature(n_spins, FIGURE_ALPHA_NS_INV, spec.temperature_k)
         cfg = SweepConfig(FIGURE_PARAMS, spec.errors, bath, FIGURE_GRID)
         result, objectives = _sweep(cfg)
-        for f, setting, values in zip(objectives, result.labels, result.curves):
-            label = spec.label.format(setting=setting, n_spins=n_spins)
-            best = refine_global_optimum(f, result.gammas, values, label)
-            # An interior global maximum is already the best interior one.
-            interior = (refine_interior_optimum(f, result.gammas, values, label)
-                        if best.on_boundary else best)
+        for f, values, grid in zip(objectives, result.curves, result.grid_optima):
+            label = spec.label.format(setting=grid.label, n_spins=n_spins)
+            interior = refine_interior_optimum(f, result.gammas, values, label)
+            # An interior grid maximum is the best interior one, so `interior` refines it.
+            best = replace(grid, label=label) if grid.on_boundary else interior
             curves.append(FigureCurve(label, values, best, interior))
 
     meta = result.metadata_lines()  # the last sweep; a figure's sweeps differ only in N

@@ -222,6 +222,15 @@ class TestFidelityCommand:
         assert code == 1
         assert "error:" in captured.err
 
+    # pi * omega overflows in the survival amplitude, which warns before the guard.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_average_is_an_error(self, capsys):
+        code = run_cli(["fidelity", "--omega-ns-inv", "1e308"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "error:" in captured.err and "not finite" in captured.err
+
     def test_rejects_multiple_settings(self, capsys):
         code = run_cli(["fidelity", "--eps-kappa", "0.1", "--eps-kappa", "0.2"])
         assert code == 1
@@ -306,6 +315,17 @@ class TestSweepCommand:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run#1.csv", "run.cfg"]
         assert "# n_spins: 4\n" in (tmp_path / "run#1.csv").read_text()
 
+    # pi * delta overflows in the survival amplitude, which warns before the guard.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_curve_is_an_error(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        code = run_cli(["sweep", "--delta-ns-inv", "1e308", "--output", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "error:" in captured.err and "eps_0 is not finite" in captured.err
+        assert not out.exists()
+
     def test_missing_config_file(self, capsys):
         code = run_cli(["sweep", "--config", "/no/such/file.cfg"])
         assert code == 1
@@ -370,6 +390,15 @@ class TestOptimizeCommand:
         assert code == 0
         assert "eps_0.2: gamma*=2.7" in out
         assert "boundary" not in out
+
+    # pi * omega overflows in the survival amplitude, which warns before the guard.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_curve_is_an_error(self, capsys):
+        code = run_cli(["optimize", "--omega-ns-inv", "1e308", "--eps-kappa", "0.1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "error:" in captured.err and "eps_0.1 is not finite" in captured.err
 
 
 class TestValidateCommand:
@@ -443,7 +472,10 @@ class TestReproduceCommand:
             run_cli(["reproduce", "fig7"])
 
     def test_missing_interior_optimum_exits_one(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(holobath.sweep, "refine_interior_optimum", lambda *a, **k: None)
+        original = holobath.sweep.refine_interior_optimum
+        monkeypatch.setattr(holobath.sweep, "refine_interior_optimum",
+                            lambda f, gammas, values, label: None if label == "eps_0.1"
+                            else original(f, gammas, values, label))
         code = run_cli(["reproduce", "fig1_left", "--out-dir", str(tmp_path)])
         assert code == 1
         assert "[FAIL] eps_0.1: interior optimum exists" in capsys.readouterr().out

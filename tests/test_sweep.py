@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import holobath.channel as channel_mod
 import holobath.sweep as sweep_mod
@@ -16,11 +18,11 @@ from holobath.lambda_system import LambdaParams
 from holobath.spin_bath import SpinBath
 from holobath.sweep import (
     REFINE_TOL,
+    CurveOptimum,
     GammaGrid,
     SweepConfig,
     golden_section_maximize,
     optimize_gamma,
-    refine_global_optimum,
     refine_interior_optimum,
     reproduce,
     run_sweep,
@@ -348,14 +350,82 @@ class TestCurveObjective:
             f(math.nan)
 
 
+def oracle_refine_global_optimum(f, gammas, values, label):
+    """The grid argmax refined on its bracket, or the flagged grid point on an edge.
+
+    An independent statement of the global optimum, searching from np.argmax
+    rather than from the interior peaks.
+    """
+    grid = sweep_mod._grid_optimum(gammas, values, label)
+    if grid.on_boundary:
+        return grid
+    best = int(np.argmax(values))
+    x, fx = sweep_mod.golden_section_maximize(f, float(gammas[best - 1]), float(gammas[best + 1]))
+    if values[best] > fx:
+        x, fx = float(gammas[best]), float(values[best])
+    return CurveOptimum(label, x, fx, on_boundary=False)
+
+
+# A few shared levels make ties and plateaus common; arbitrary floats fill the rest.
+curve_values = st.lists(
+    st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 1.0]),
+              st.floats(allow_nan=False, allow_infinity=False)),
+    min_size=3, max_size=60,
+)
+
+
 class TestOptimumLocation:
+    @given(values=curve_values, step=st.floats(1e-3, 1.0), peak=st.floats(-2.0, 2.0),
+           center=st.floats(0.0, 60.0))
+    @settings(max_examples=300, deadline=None)
+    def test_global_optimum_is_the_edge_point_or_the_interior_peak(
+        self, values, step, peak, center
+    ):
+        gammas = step * np.arange(len(values))
+        values = np.array(values)
+        brackets, evals = [], []
+        search = sweep_mod.golden_section_maximize
+
+        def f(g):
+            evals.append(g)
+            return peak - (g - center * step) ** 2
+
+        def recording(f, lo, hi):
+            brackets.append((lo, hi))
+            return search(f, lo, hi)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sweep_mod, "golden_section_maximize", recording)
+            expected = oracle_refine_global_optimum(f, gammas, values, "c")
+            oracle_calls = (brackets[:], evals[:])
+            brackets.clear()
+            evals.clear()
+            grid = sweep_mod._grid_optimum(gammas, values, "c")
+            got = grid if grid.on_boundary else refine_interior_optimum(f, gammas, values, "c")
+        assert got == expected
+        assert (brackets, evals) == oracle_calls
+
+    @pytest.mark.parametrize("eps, searches", [(0.1, 0), (0.2, 1)])
+    def test_optimize_searches_only_interior_optima(self, monkeypatch, eps, searches):
+        # eps = 0.1 peaks at gamma = 0 on this grid, eps = 0.2 inside it.
+        brackets = []
+        search = sweep_mod.golden_section_maximize
+        monkeypatch.setattr(sweep_mod, "golden_section_maximize",
+                            lambda f, lo, hi: brackets.append((lo, hi)) or search(f, lo, hi))
+        cfg = small_config(
+            error_settings=(ErrorParams.symmetric(eps),), grid=GammaGrid(0.0, 8.0, 0.1)
+        )
+        (opt,) = optimize_gamma(cfg)
+        assert opt.on_boundary == (searches == 0)
+        assert len(brackets) == searches
+
     def test_monotone_curve_raises_boundary_flag(self):
         gammas = np.linspace(0.0, 5.0, 11)
         rising = gammas.copy()
-        opt = refine_global_optimum(lambda g: g, gammas, rising, "rising")
+        opt = sweep_mod._grid_optimum(gammas, rising, "rising")
         assert opt.on_boundary and opt.gamma_star == 5.0
         falling = -gammas
-        opt = refine_global_optimum(lambda g: -g, gammas, falling, "falling")
+        opt = sweep_mod._grid_optimum(gammas, falling, "falling")
         assert opt.on_boundary and opt.gamma_star == 0.0
 
     def test_monotone_curve_has_no_interior_optimum(self):
@@ -366,7 +436,7 @@ class TestOptimumLocation:
         f = lambda g: -((g - 2.13) ** 2)
         gammas = np.linspace(0.0, 5.0, 26)
         values = f(gammas)
-        opt = refine_global_optimum(f, gammas, values, "peak")
+        opt = refine_interior_optimum(f, gammas, values, "peak")
         assert not opt.on_boundary
         assert opt.gamma_star == pytest.approx(2.13, abs=1e-4)
 
@@ -402,7 +472,7 @@ class TestOptimumLocation:
         )
         result = run_sweep(cfg)
         f = lambda g: public_f_av(cfg, g)
-        global_opt = refine_global_optimum(f, result.gammas, result.curves[0], "eps_0.1")
+        global_opt = result.grid_optima[0]
         assert global_opt.on_boundary and global_opt.gamma_star == 0.0
         interior = refine_interior_optimum(f, result.gammas, result.curves[0], "eps_0.1")
         assert interior is not None
@@ -468,7 +538,10 @@ class TestReproduce:
     def test_missing_interior_optimum_fails(self, tmp_path, monkeypatch, figure):
         # eps = 0.1 has its global optimum at gamma = 0, so only the interior
         # search can supply its bath optimum.
-        monkeypatch.setattr(sweep_mod, "refine_interior_optimum", lambda *a, **k: None)
+        original = sweep_mod.refine_interior_optimum
+        monkeypatch.setattr(sweep_mod, "refine_interior_optimum",
+                            lambda f, gammas, values, label: None if label == "eps_0.1"
+                            else original(f, gammas, values, label))
         report = reproduce(figure, out_dir=str(tmp_path))
         assert not report.passed
         assert "  eps_0.1: no interior optimum; global gamma*=0.0000" in report.lines
