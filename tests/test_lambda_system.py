@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -63,6 +64,17 @@ class TestLambdaParams:
         values[field] = bad
         with pytest.raises(ValueError, match=field):
             LambdaParams(**values)
+
+    @pytest.mark.parametrize("omega, delta", [(1e308, 2.0), (6e307, -1.7e308)])
+    def test_rejects_an_overflowing_gap(self, omega, delta):
+        # Finite fields whose gap hypot(delta, 2*omega) is inf would give tau0 = 0
+        # and NaN survival amplitudes; no NumPy warning may come first.
+        with pytest.raises(ValueError, match=re.escape(f"omega={omega}, delta={delta}")):
+            LambdaParams(omega=omega, delta=delta)
+
+    def test_largest_finite_gap_is_accepted(self):
+        p = LambdaParams(omega=1.0, delta=1e308)
+        assert p.delta0 == 1e308 and p.tau0 > 0.0
 
     def test_phi_normalized_to_principal_range(self):
         p = LambdaParams(omega=1.0, delta=0.0, phi=-0.5)

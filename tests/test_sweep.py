@@ -1,9 +1,12 @@
 import collections
 import csv
+import gc
 import io
 import math
 import os
 import tracemalloc
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -291,11 +294,26 @@ class TestCurveObjective:
     def test_curve_terms_stand_in_only_for_their_own_grid(self):
         errors, bath = self.SETTINGS["asymmetric"]
         ch = build_channel(LambdaParams(omega=1.0, delta=2.0), errors, bath, np.linspace(0, 8, 9))
-        carrying = channel_mod._with_curve_terms(ch, 30)
+        varthetas = np.arange(30) * (math.pi / 29)
+        carrying = replace(ch, _curve_terms=channel_mod._input_terms(ch.params, ch.effective,
+                                                                     varthetas))
         for n_states in (30, 7):
             expected = channel_mod.fidelity_curve(ch, n_states)[1]
             assert np.array_equal(channel_mod.fidelity_curve(carrying, n_states)[1], expected)
         assert np.array_equal(average_fidelity(carrying), average_fidelity(ch))
+
+    def test_objective_keeps_no_grid_survival(self):
+        # A sweep holds one curve's (grid, N+1) survival array at a time.
+        errors, bath = self.SETTINGS["asymmetric"]
+        p, gammas = LambdaParams(omega=1.0, delta=2.0), np.linspace(0, 8, 9)
+        ch = build_channel(p, errors, bath, gammas)
+        survival = weakref.ref(ch.survival)
+        values, f = channel_mod._curve(ch, 30)
+        del ch
+        gc.collect()
+        assert survival() is None
+        assert np.array_equal(f(gammas), values)
+        assert f(2.8) == average_fidelity(build_channel(p, errors, bath, 2.8))
 
     @pytest.mark.parametrize("run", ["optimize_gamma", "reproduce"])
     def test_gamma_independent_work_runs_once_per_curve(self, run, monkeypatch, tmp_path):
