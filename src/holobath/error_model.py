@@ -62,19 +62,25 @@ def apply_errors(p: LambdaParams, e: ErrorParams) -> LambdaParams:
     Symmetric errors (eps0 == eps1, zeta0 == zeta1) only rescale the amplitude
     and are short-circuited exactly.  At theta in {0, pi} a single pulse is
     active, so errors rescale the amplitude but cannot tilt the axis; the
-    continuity limit theta' = theta, phi' = phi applies.
+    continuity limit theta' = theta, phi' = phi applies.  An errored drive
+    whose gap hypot(delta', 2*omega') overflows is rejected here, naming the
+    drive and the errors it came from.
     """
     delta = (1.0 + e.kappa) * p.delta
+    theta, phi = p.theta, p.phi
     if e.is_symmetric:
         omega = (1.0 + e.epsilon0) * p.omega
-        return LambdaParams(omega=omega, delta=delta, theta=p.theta, phi=p.phi)
-    half = 0.5 * p.theta
-    a0 = (1.0 + e.epsilon0) * math.sin(half)
-    a1 = (1.0 + e.epsilon1) * math.cos(half)
-    theta, phi = p.theta, p.phi
-    if p.theta not in (0.0, math.pi):
-        # a0, a1 >= 0, so atan2 lands in [0, pi/2] and theta' stays in [0, pi];
-        # the full-quadrant form avoids the tan singularity at theta = pi.
-        theta = 2.0 * math.atan2(a0, a1)
-        phi = p.phi + e.zeta0 - e.zeta1  # LambdaParams wraps it into [0, 2*pi)
-    return LambdaParams(omega=p.omega * math.hypot(a0, a1), delta=delta, theta=theta, phi=phi)
+    else:
+        half = 0.5 * p.theta
+        a0 = (1.0 + e.epsilon0) * math.sin(half)
+        a1 = (1.0 + e.epsilon1) * math.cos(half)
+        omega = p.omega * math.hypot(a0, a1)
+        if p.theta not in (0.0, math.pi):
+            # a0, a1 >= 0, so atan2 lands in [0, pi/2] and theta' stays in [0, pi];
+            # the full-quadrant form avoids the tan singularity at theta = pi.
+            theta = 2.0 * math.atan2(a0, a1)
+            phi = p.phi + e.zeta0 - e.zeta1  # LambdaParams wraps it into [0, 2*pi)
+    if not math.isfinite(math.hypot(delta, 2.0 * omega)):
+        raise ValueError(f"errored gap hypot(delta', 2*omega') overflows for omega={p.omega}, "
+                         f"delta={p.delta} with {e}")
+    return LambdaParams(omega=omega, delta=delta, theta=theta, phi=phi)

@@ -29,7 +29,14 @@ cost LAPACK time, not call overhead.
 The full system (x) bath evolution works in the collapsed occupation basis
 (dimension 3*(N+1), each level m carrying its binomial multiplicity as
 weight) and optionally in the raw 2^N product basis, which validates the
-collapse itself.  Both are capped to keep runtimes in the seconds.
+collapse itself.  Both are capped to keep runtimes in the seconds.  The
+Lambda couplings |0>-|e>-|1> form no closed loop, so the phase gauge
+D = diag(conj g0, conj g1, 1), g_j the phase of leg j, makes the Hamiltonian
+real: H = D H_r D^dag, H_r = |H| with the signed detuning.  The evolution
+diagonalises the real symmetric system (x) bath matrix, at about half the
+LAPACK cost of the complex one, with the gauge moved onto the input kets and
+output rows.  It stays brute force: a dense eigendecomposition of the whole
+matrix, with no closed form, bright/dark states or effective-drive algebra.
 """
 
 from __future__ import annotations
@@ -65,7 +72,7 @@ BRUTE_FORCE_MAX_COLLAPSED = 12  # occupation basis, dimension 3*(N+1)
 BRUTE_FORCE_MAX_PRODUCT = 6  # full product basis, dimension 3*2^N
 # The survival-amplitude check exponentiates 5*cases drives as one stack, so
 # a suite's peak grows with cases: under tracemalloc it reads 20.8 MB at 4,000
-# cases and 49.6 MB at the cap.
+# cases and 49.7 MB at the cap.
 MAX_VALIDATION_CASES = 10_000
 
 HERMITICITY_TOL = 1e-12
@@ -89,7 +96,8 @@ def expm_hermitian(h: np.ndarray, t) -> np.ndarray:
 
 def _eigh_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of a Hermitian matrix or stack, after checking Hermiticity."""
-    h = np.asarray(h, dtype=complex)
+    h = np.asarray(h)
+    h = h.astype(np.result_type(h, float), copy=False)  # a real stack stays real
     defect = np.max(np.abs(h - np.swapaxes(h, -1, -2).conj()))
     if defect > HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian (max |H - H^dag| = {defect:.3e})")
@@ -220,10 +228,17 @@ def _full_evolutions(cases, basis: str = "collapsed") -> np.ndarray:
 
         alpha = np.array([b.alpha for b in baths])[:, None]
         bath_energies = alpha * (occupations - 0.5 * n)
-        # H_sys (x) 1 + 1 (x) diag(E) + gamma |e><e| (x) diag(m): the last two
-        # terms are diagonal, so they are added to the diagonal in place.
+        # H = D H_r D^dag with D (x) 1 commuting with the bath terms: the real
+        # H_r (x) 1 + 1 (x) diag(E) + gamma |e><e| (x) diag(m) is diagonalised,
+        # the kets gain the leg phases g (1 for a leg that is off) and the output
+        # rows conj(g).  The last two terms are added to the diagonal in place.
         h_system = np.stack([raw_error_hamiltonian(p, e) for p, e in zip(params, errors)])
-        h_total = (h_system[:, :, None, :, None] * np.eye(bath_dim)[:, None, :]).reshape(
+        legs = h_system[:, 2, :]
+        gauges = np.divide(legs, np.abs(legs), out=np.ones_like(legs), where=legs != 0)
+        gauges[:, 2] = 1.0
+        h_real = np.abs(h_system)
+        h_real[:, 2, 2] = legs[:, 2].real  # the detuning keeps its sign
+        h_total = (h_real[:, :, None, :, None] * np.eye(bath_dim)[:, None, :]).reshape(
             len(index), 3 * bath_dim, 3 * bath_dim)
         diagonal = h_total.reshape(len(index), -1)[:, :: 3 * bath_dim + 1]  # a view
         diagonal += np.tile(bath_energies, 3)
@@ -234,10 +249,11 @@ def _full_evolutions(cases, basis: str = "collapsed") -> np.ndarray:
         # row block b of the eigenvectors, and U itself is never formed.
         eigvals, eigvecs = _eigh_hermitian(h_total)
         phases = np.exp(-1j * eigvals * np.array([p.tau0 for p in params])[:, None])
-        kets = np.stack([_input_ket(p, psi) for p, psi in zip(params, states)])
-        blocks = eigvecs.reshape(len(index), 3, bath_dim, 3 * bath_dim).conj()
+        kets = np.stack([_input_ket(p, psi) for p, psi in zip(params, states)]) * gauges
+        blocks = eigvecs.reshape(len(index), 3, bath_dim, 3 * bath_dim)
         overlaps = np.einsum("kibn,ki->knb", blocks, kets) * np.sqrt(boltzmann)[:, None, :]
-        columns = ((eigvecs * phases[:, None, :]) @ overlaps).reshape(len(index), 3, -1)
+        columns = (eigvecs @ (phases[:, :, None] * overlaps)).reshape(len(index), 3, -1)
+        columns *= gauges.conj()[:, :, None]
         out[index] = columns @ np.swapaxes(columns.conj(), -1, -2)
     return out
 

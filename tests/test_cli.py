@@ -239,6 +239,19 @@ class TestFidelityCommand:
         assert captured.out == ""
         assert captured.err.startswith("error:") and "omega=1e+308" in captured.err
 
+    @pytest.mark.parametrize("args, named", [
+        (["--omega-ns-inv", "8.9e307", "--eps-kappa", "0.2"], "8.9e+307"),
+        (["--delta-ns-inv", "1.7e308", "--kappa", "0.1"], "1.7e+308"),
+    ])
+    def test_overflowing_errored_drive_names_the_flags(self, capsys, args, named):
+        # No RuntimeWarning filter: the errored drive is checked in apply_errors.
+        code = run_cli(["fidelity", *args])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and named in captured.err
+        assert "1.068e+308" not in captured.err and "inf" not in captured.err
+
     def test_rejects_multiple_settings(self, capsys):
         code = run_cli(["fidelity", "--eps-kappa", "0.1", "--eps-kappa", "0.2"])
         assert code == 1

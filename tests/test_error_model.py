@@ -72,6 +72,20 @@ class TestApplyErrors:
         assert apply_errors(p, ErrorParams(kappa=0.1)).delta == pytest.approx(2.2, rel=1e-15)
         assert apply_errors(p, ErrorParams(kappa=-1.5)).delta == pytest.approx(-1.0, rel=1e-15)
 
+    @pytest.mark.parametrize("drive, errors, named", [
+        # omega' = 1.2 * 8.9e307 is finite, but the gap hypot(delta', 2*omega') is not.
+        (dict(omega=8.9e307, delta=2.4), ErrorParams.symmetric(0.2), "omega=8.9e+307"),
+        (dict(omega=8.9e307, delta=2.4, theta=1.0), ErrorParams(epsilon0=0.2), "omega=8.9e+307"),
+        # delta' = 1.1 * 1.7e308 overflows to inf.
+        (dict(omega=1.0, delta=1.7e308), ErrorParams(kappa=0.1), "delta=1.7e+308"),
+    ])
+    def test_overflowing_errored_drive_names_the_inputs(self, drive, errors, named):
+        with pytest.raises(ValueError, match="errored gap") as info:
+            apply_errors(LambdaParams(**drive), errors)
+        message = str(info.value)
+        assert named in message and repr(errors) in message
+        assert "1.068e+308" not in message and "inf" not in message
+
     @given(theta=thetas, phi=phis, eps0=epsilons, eps1=epsilons,
            zeta0=phases, zeta1=phases, kappa=kappas)
     @settings(max_examples=300, deadline=None)

@@ -141,6 +141,18 @@ def count_calls(monkeypatch, names):
     return counts
 
 
+def record_dtypes(monkeypatch, name):
+    """Record the dtype of the matrix argument of each np.linalg.<name> call from here on."""
+    dtypes = []
+
+    def recorded(a, *args, _original=getattr(np.linalg, name), **kwargs):
+        dtypes.append(np.asarray(a).dtype)
+        return _original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, recorded)
+    return dtypes
+
+
 class TestExpmHermitian:
     def test_zero_hamiltonian(self):
         np.testing.assert_allclose(expm_hermitian(np.zeros((4, 4)), 2.0), np.eye(4), atol=1e-15)
@@ -182,6 +194,15 @@ class TestExpmHermitian:
         for k in range(count):
             single = expm_hermitian(stack[k], times[k] if per_matrix_times else times)
             assert np.array_equal(stacked[k], single)
+
+    def test_complex_stack_is_diagonalised_as_complex(self, monkeypatch):
+        # The raw Hamiltonian is complex even when every entry is real: its
+        # exponential keeps the arithmetic the asymmetric-gate oracle relies on.
+        drives = [LambdaParams(omega=1.0, delta=2.0, phi=phi) for phi in (0.0, 0.7)]
+        stack = np.stack([raw_error_hamiltonian(p, ErrorParams()) for p in drives])
+        dtypes = record_dtypes(monkeypatch, "eigh")
+        expm_hermitian(stack, 0.9)
+        assert dtypes == [np.complex128]
 
     @given(seed=st.integers(0, 2**32 - 1), count=st.integers(2, 6), data=st.data())
     @settings(max_examples=40, deadline=None)
@@ -315,6 +336,46 @@ class TestFullEvolution:
         case = (p, ErrorParams(0.1, -0.2, 0.4, -0.9, 0.15), bath, 2.3, InputState(1.1, 5.3))
         rho = full_evolution(*case, basis=basis)
         assert np.max(np.abs(rho - dense_full_evolution(*case, basis))) <= 1e-14
+
+
+    @pytest.mark.parametrize("basis", ["collapsed", "product"])
+    def test_eigendecomposes_real_stacks(self, monkeypatch, basis):
+        # The gauged system (x) bath Hamiltonian is real symmetric: one float64
+        # eigh per bath size, never a complex one.
+        p = LambdaParams(omega=1.3, delta=-2.1, theta=2.2, phi=4.0)
+        errors = ErrorParams(0.1, -0.2, 0.4, -0.9, 0.15)
+        cases = [(p, errors, SpinBath(n_spins=n, alpha=3.0, beta=0.4), 2.3, InputState(1.1, 5.3))
+                 for n in (1, 2, 3, 3)]
+        dtypes = record_dtypes(monkeypatch, "eigh")
+        reference._full_evolutions(cases, basis)
+        assert dtypes == [np.float64] * 3
+
+    @given(
+        theta=st.floats(0.0, math.pi), phi=st.floats(0.0, 2.0 * math.pi),
+        zeta0=st.floats(-math.pi, math.pi), zeta1=st.floats(-math.pi, math.pi),
+        epsilon=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
+        kappa=st.floats(-0.5, 0.5), gamma=st.floats(0.0, 8.0),
+        beta_alpha=st.one_of(st.just(0.0), st.floats(0.01, 5.0), st.just(math.inf)),
+        bath=st.one_of(st.tuples(st.just("collapsed"), st.integers(1, 8)),
+                       st.tuples(st.just("product"), st.integers(1, 4))),
+    )
+    # One leg is off at theta = 0; at theta = pi the |1> leg is cos(pi/2) ~ 6e-17.
+    @example(theta=0.0, phi=1.3, zeta0=2.0, zeta1=-0.7, epsilon=(0.2, -0.3), kappa=0.1,
+             gamma=2.3, beta_alpha=0.8, bath=("collapsed", 5))
+    @example(theta=math.pi, phi=4.1, zeta0=-2.5, zeta1=0.9, epsilon=(-0.3, 0.2), kappa=-0.2,
+             gamma=5.0, beta_alpha=math.inf, bath=("product", 4))
+    @settings(max_examples=80, deadline=None)
+    def test_gauged_evolution_matches_dense_evolution(self, theta, phi, zeta0, zeta1, epsilon,
+                                                      kappa, gamma, beta_alpha, bath):
+        # The real gauged Hamiltonian must give the evolution of the complex one.
+        # 9,000 seeded draws of these ranges reached 2.7e-14 at worst.
+        basis, n_spins = bath
+        p = LambdaParams(omega=1.3, delta=-2.1, theta=theta, phi=phi)
+        errors = ErrorParams(*epsilon, zeta0, zeta1, kappa)
+        case = (p, errors, SpinBath(n_spins=n_spins, alpha=3.0, beta=beta_alpha / 3.0), gamma,
+                InputState(1.1, 5.3))
+        rho = full_evolution(*case, basis=basis)
+        assert np.max(np.abs(rho - dense_full_evolution(*case, basis))) <= 1e-13
 
 
 class TestTraceDistance:
