@@ -234,7 +234,12 @@ def _full_evolutions(cases, basis: str = "collapsed") -> np.ndarray:
         # rows conj(g).  The last two terms are added to the diagonal in place.
         h_system = np.stack([raw_error_hamiltonian(p, e) for p, e in zip(params, errors)])
         legs = h_system[:, 2, :]
-        gauges = np.divide(legs, np.abs(legs), out=np.ones_like(legs), where=legs != 0)
+        # Complex division forms 1/|leg|, which overflows for a subnormal leg, so
+        # each leg is first brought to |leg| in [1/2, 1) by an exact power of two.
+        exponents = np.frexp(np.abs(legs))[1]
+        legs_scaled = np.ldexp(legs.real, -exponents) + 1j * np.ldexp(legs.imag, -exponents)
+        gauges = np.divide(legs_scaled, np.abs(legs_scaled), out=np.ones_like(legs),
+                           where=legs != 0)
         gauges[:, 2] = 1.0
         h_real = np.abs(h_system)
         h_real[:, 2, 2] = legs[:, 2].real  # the detuning keeps its sign

@@ -411,6 +411,13 @@ class TestOptimizeCommand:
         assert code == 0
         assert "eps_0.2: gamma*=2.7" in out
         assert "boundary" not in out
+        # On the default grid eps = 0.1 peaks at gamma = 0 and is reported as that
+        # grid point; eps = 0.2 peaks inside the grid and is refined by one search.
+        code = run_cli(["optimize", "--eps-kappa", "0.1", "--eps-kappa", "0.2"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert lines[0].startswith("eps_0.1: gamma*=0.000000") and "boundary" in lines[0]
+        assert lines[1].startswith("eps_0.2: gamma*=2.7") and "boundary" not in lines[1]
 
     # pi * delta overflows in the survival amplitude, which warns before the guard.
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -424,12 +431,15 @@ class TestOptimizeCommand:
 
 class TestValidateCommand:
     def test_passes(self, capsys):
-        code = run_cli(["validate", "--cases", "6", "--seed", "3",
-                        "--max-spins", str(BRUTE_FORCE_MAX_COLLAPSED)])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert out.count("[PASS]") == 7
-        assert "[FAIL]" not in out
+        # 100 cases at the default seed span several blocks of stacked cases.
+        max_spins = str(BRUTE_FORCE_MAX_COLLAPSED)
+        for args in (["--cases", "6", "--seed", "3", "--max-spins", max_spins],
+                     ["--cases", "100", "--max-spins", max_spins]):
+            code = run_cli(["validate", *args])
+            out = capsys.readouterr().out
+            assert code == 0
+            assert out.count("[PASS]") == 7
+            assert "[FAIL]" not in out
 
 
     @pytest.mark.parametrize("cases", ["0", "-3"])
@@ -467,9 +477,12 @@ class TestValidateCommand:
 
 
 def test_import_leaves_scipy_unloaded():
-    # scipy is a test dependency only; importing it cost ~0.3 s of start-up.
+    # The runtime needs only numpy: scipy, pytest and hypothesis are test
+    # dependencies (importing scipy cost ~0.3 s of start-up).
     src = os.path.dirname(os.path.dirname(os.path.abspath(holobath.__file__)))
-    code = "import sys, holobath.cli; sys.exit('scipy' in sys.modules)"
+    code = ("import sys, holobath.cli; "
+            "loaded = [m for m in ('scipy', 'pytest', 'hypothesis') if m in sys.modules]; "
+            "sys.exit(' '.join(loaded) or None)")
     proc = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
@@ -477,7 +490,7 @@ def test_import_leaves_scipy_unloaded():
         env={**os.environ, "PYTHONPATH": src},
         timeout=60,
     )
-    assert proc.returncode == 0, proc.stderr or "importing holobath.cli loaded scipy"
+    assert proc.returncode == 0, f"importing holobath.cli loaded or raised: {proc.stderr}"
 
 
 class TestReproduceCommand:

@@ -5,7 +5,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -165,11 +164,12 @@ class TestExpmHermitian:
     def test_against_scaling_and_squaring(self):
         # scipy.linalg.expm (Pade scaling-and-squaring) as the second,
         # independent algorithm
+        scipy_linalg = pytest.importorskip("scipy.linalg")
         rng = np.random.default_rng(7)
         for dim in (2, 3, 5, 12, 25, 40):
             h = random_hermitian(rng, dim)
             mine = expm_hermitian(h, 0.9)
-            ref = scipy.linalg.expm(-1j * h * 0.9)
+            ref = scipy_linalg.expm(-1j * h * 0.9)
             assert np.max(np.abs(mine - ref)) < 1e-9
 
     def test_unitary_output(self):
@@ -351,7 +351,7 @@ class TestFullEvolution:
         assert dtypes == [np.float64] * 3
 
     @given(
-        theta=st.floats(0.0, math.pi), phi=st.floats(0.0, 2.0 * math.pi),
+        omega=st.just(1.3), theta=st.floats(0.0, math.pi), phi=st.floats(0.0, 2.0 * math.pi),
         zeta0=st.floats(-math.pi, math.pi), zeta1=st.floats(-math.pi, math.pi),
         epsilon=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
         kappa=st.floats(-0.5, 0.5), gamma=st.floats(0.0, 8.0),
@@ -360,17 +360,23 @@ class TestFullEvolution:
                        st.tuples(st.just("product"), st.integers(1, 4))),
     )
     # One leg is off at theta = 0; at theta = pi the |1> leg is cos(pi/2) ~ 6e-17.
-    @example(theta=0.0, phi=1.3, zeta0=2.0, zeta1=-0.7, epsilon=(0.2, -0.3), kappa=0.1,
-             gamma=2.3, beta_alpha=0.8, bath=("collapsed", 5))
-    @example(theta=math.pi, phi=4.1, zeta0=-2.5, zeta1=0.9, epsilon=(-0.3, 0.2), kappa=-0.2,
-             gamma=5.0, beta_alpha=math.inf, bath=("product", 4))
+    @example(omega=1.3, theta=0.0, phi=1.3, zeta0=2.0, zeta1=-0.7, epsilon=(0.2, -0.3),
+             kappa=0.1, gamma=2.3, beta_alpha=0.8, bath=("collapsed", 5))
+    @example(omega=1.3, theta=math.pi, phi=4.1, zeta0=-2.5, zeta1=0.9, epsilon=(-0.3, 0.2),
+             kappa=-0.2, gamma=5.0, beta_alpha=math.inf, bath=("product", 4))
+    # Subnormal legs, whose 1/|leg| overflows: one at theta = 1e-310, both at
+    # omega = 1e-310.
+    @example(omega=1.3, theta=1e-310, phi=0.0, zeta0=0.0, zeta1=0.0, epsilon=(0.0, 0.0),
+             kappa=0.0, gamma=0.0, beta_alpha=0.0, bath=("collapsed", 1))
+    @example(omega=1e-310, theta=1.1, phi=4.1, zeta0=-2.5, zeta1=0.9, epsilon=(-0.3, 0.2),
+             kappa=-0.2, gamma=2.3, beta_alpha=0.8, bath=("product", 2))
     @settings(max_examples=80, deadline=None)
-    def test_gauged_evolution_matches_dense_evolution(self, theta, phi, zeta0, zeta1, epsilon,
-                                                      kappa, gamma, beta_alpha, bath):
+    def test_gauged_evolution_matches_dense_evolution(self, omega, theta, phi, zeta0, zeta1,
+                                                      epsilon, kappa, gamma, beta_alpha, bath):
         # The real gauged Hamiltonian must give the evolution of the complex one.
         # 9,000 seeded draws of these ranges reached 2.7e-14 at worst.
         basis, n_spins = bath
-        p = LambdaParams(omega=1.3, delta=-2.1, theta=theta, phi=phi)
+        p = LambdaParams(omega=omega, delta=-2.1, theta=theta, phi=phi)
         errors = ErrorParams(*epsilon, zeta0, zeta1, kappa)
         case = (p, errors, SpinBath(n_spins=n_spins, alpha=3.0, beta=beta_alpha / 3.0), gamma,
                 InputState(1.1, 5.3))

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import gammaln, logsumexp
 
 from holobath.spin_bath import (
     KB_OVER_HBAR_NS_INV_PER_K,
@@ -83,6 +82,8 @@ def mean_occupation(bath: SpinBath) -> float:
 
 def scipy_weights(n: int, beta_alpha: float) -> np.ndarray:
     """The gammaln/logsumexp formula the package used before it dropped scipy."""
+    special = pytest.importorskip("scipy.special")
+    gammaln, logsumexp = special.gammaln, special.logsumexp
     m = np.arange(n + 1, dtype=float)
     logw = gammaln(n + 1.0) - gammaln(m + 1.0) - gammaln(n - m + 1.0)
     logw[1:] -= beta_alpha * m[1:]
