@@ -23,18 +23,25 @@ with <u> = sum_m p_m u_m and <|u|^2> = sum_m p_m |u_m|^2.  One kernel evaluates
 this for a scalar gamma or a whole gamma array, in two halves: the input-state
 terms |A|^2, A^* B and |B|^2, which depend on the drive, the errors and
 (vartheta, xi) but not on gamma, and the bath reduction <u>, <|u|^2> -> F.
-The public functions compose the two.  :func:`_curve` builds a sweep curve:
-it computes the first half once and returns F_av on the grid and an objective
-gamma -> F_av whose channels carry those terms, so each golden-section step
-recomputes only the survival amplitudes and the second half.  The dense 3x3
-Kraus matrices live in :mod:`holobath.reference` and serve only to validate
-the kernel.
+The public functions compose the two.  F_av averages F over the vartheta
+rule: n equidistant nodes vartheta_k = k*pi/(n-1) on the xi = 0 meridian, their
+sin weights with both endpoints zeroed, and the weights' sum, built once per n
+and cached read-only; the average of a table on the nodes is
+values @ weights / sum.  :func:`_curve` builds a sweep curve: it computes the
+first half, the bath occupations and the ideal drive's tau0 and delta0 once
+and returns F_av on the grid and an objective gamma -> F_av whose channels
+carry those terms, so each golden-section step checks gamma and computes only
+the survival amplitudes, the second half and the rule's average.  The dense
+3x3 Kraus matrices live in :mod:`holobath.reference` and serve only to
+validate the kernel.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,6 +63,7 @@ __all__ = [
     "state_fidelity",
     "average_fidelity",
     "fidelity_curve",
+    "curve_average",
     "MAX_KERNEL_ELEMENTS",
     "N_INPUT_STATES",
 ]
@@ -129,7 +137,7 @@ def build_channel(
     gammas = _checked_gammas(gamma, b.n_spins + 1)
     weights = thermal_weights(b)
     weights.flags.writeable = False
-    return _with_survival(p, apply_errors(p, e), b, weights, gammas)
+    return _channel_maker(p, apply_errors(p, e), b, weights)(gammas)
 
 
 def _checked_gammas(gamma, n_levels: int) -> np.ndarray:
@@ -137,27 +145,29 @@ def _checked_gammas(gamma, n_levels: int) -> np.ndarray:
     gammas = np.asarray(gamma, dtype=float)
     if gammas.ndim > 1:
         raise ValueError(f"gamma must be a scalar or a 1-D array, got shape {gammas.shape}")
-    if not np.all(np.isfinite(gammas)):
+    if not np.isfinite(gammas).all():
         raise ValueError(f"gamma must be finite, got {gamma}")
     _require_kernel_size(gammas.size, n_levels, "bath levels")
     return gammas
 
 
-def _with_survival(p: LambdaParams, eff: LambdaParams, b: SpinBath, weights: np.ndarray,
-                   gammas: np.ndarray, curve_terms=None) -> HolonomicChannel:
-    """The channel at checked gammas: u_m of the effective drive at detuning delta' + gamma*m."""
-    shifts = eff.delta + gammas[..., None] * b.occupations()
-    survival = bright_survival_amplitude(eff.omega, shifts, p.tau0, p.delta0)
-    survival.flags.writeable = False
-    return HolonomicChannel(
-        params=p,
-        effective=eff,
-        bath=b,
-        gamma=gammas if gammas.ndim else float(gammas),
-        weights=weights,
-        survival=survival,
-        _curve_terms=curve_terms,
-    )
+def _channel_maker(p: LambdaParams, eff: LambdaParams, b: SpinBath, weights: np.ndarray,
+                   curve_terms=None):
+    """checked gammas -> the channel whose u_m run the effective drive at detuning delta' + gamma*m.
+
+    The gamma-independent factors, the occupations m and the ideal drive's
+    tau0 and delta0, are computed here once for every channel it makes.
+    """
+    occupations, tau0, delta0 = b.occupations(), p.tau0, p.delta0
+
+    def make(gammas: np.ndarray) -> HolonomicChannel:
+        shifts = eff.delta + gammas[..., None] * occupations
+        survival = bright_survival_amplitude(eff.omega, shifts, tau0, delta0)
+        survival.flags.writeable = False
+        return HolonomicChannel(p, eff, b, gammas if gammas.ndim else float(gammas),
+                                weights, survival, curve_terms)
+
+    return make
 
 
 def _input_terms(p: LambdaParams, eff: LambdaParams, varthetas: np.ndarray,
@@ -204,25 +214,63 @@ def state_fidelity(ch: HolonomicChannel, s: InputState) -> float | np.ndarray:
     return float(values) if values.ndim == 0 else values
 
 
+class _ThetaRule(NamedTuple):
+    """Read-only vartheta nodes k*pi/(n-1) (xi = 0), their sin weights and the weights' sum.
+
+    The endpoint weights sin(0) and sin(pi) vanish analytically; they are
+    zeroed explicitly (float sin(pi) is ~1.2e-16) so the average over n
+    points equals the average over the n-2 interior points exactly.
+    """
+
+    nodes: np.ndarray
+    weights: np.ndarray
+    total: np.float64
+
+
+@functools.lru_cache(maxsize=4)
+def _theta_rule(n_states: int) -> _ThetaRule:
+    """The rule over n_states nodes, built once per n_states."""
+    n_states = require_count("n_states", n_states, 3)
+    _require_kernel_size(1, n_states, "input states")
+    nodes = np.arange(n_states) * (math.pi / (n_states - 1))
+    weights = np.sin(nodes)
+    weights[0] = 0.0
+    weights[-1] = 0.0
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return _ThetaRule(nodes, weights, np.sum(weights))
+
+
+def _curve_rule(ch: HolonomicChannel, n_states: int) -> _ThetaRule:
+    """The rule over n_states nodes, once a (gamma, n_states) kernel fits."""
+    n_states = require_count("n_states", n_states, 3)
+    # survival holds one row of N+1 amplitudes per gamma
+    _require_kernel_size(ch.survival.size // ch.weights.size, n_states, "input states")
+    return _theta_rule(n_states)
+
+
 def fidelity_curve(ch: HolonomicChannel,
                    n_states: int = N_INPUT_STATES) -> tuple[np.ndarray, np.ndarray]:
     """(vartheta_k, F(vartheta_k)) over the equidistant input-state grid (xi = 0).
 
-    For a gamma-array channel the values have shape (len(gamma), n_states).
+    The vartheta_k array is read-only.  For a gamma-array channel the values
+    have shape (len(gamma), n_states).
     """
-    varthetas = _curve_grid(ch, n_states)
+    varthetas = _curve_rule(ch, n_states).nodes
     terms = ch._curve_terms
     if terms is None or terms[0].size != n_states:
         return varthetas, _fidelity(ch, varthetas)
     return varthetas, _bath_fidelity(terms, ch.weights, ch.survival)
 
 
-def _curve_grid(ch: HolonomicChannel, n_states: int) -> np.ndarray:
-    """Equidistant vartheta_k = k*pi/(n-1), k = 0..n-1, once a (gamma, n) kernel fits."""
-    n_states = require_count("n_states", n_states, 3)
-    # survival holds one row of N+1 amplitudes per gamma
-    _require_kernel_size(ch.survival.size // ch.weights.size, n_states, "input states")
-    return np.arange(n_states) * (math.pi / (n_states - 1))
+def curve_average(values: np.ndarray) -> float | np.ndarray:
+    """sin-weighted average of a :func:`fidelity_curve` table over its last axis.
+
+    A float for a 1-D table, one average per row otherwise.
+    """
+    rule = _theta_rule(values.shape[-1])
+    averages = values @ rule.weights / rule.total
+    return float(averages) if averages.ndim == 0 else averages
 
 
 def average_fidelity(ch: HolonomicChannel, n_states: int = N_INPUT_STATES) -> float | np.ndarray:
@@ -230,21 +278,7 @@ def average_fidelity(ch: HolonomicChannel, n_states: int = N_INPUT_STATES) -> fl
 
     A float for a scalar-gamma channel, one average per gamma otherwise.
     """
-    return _sin_weighted_average(*fidelity_curve(ch, n_states))
-
-
-def _sin_weighted_average(varthetas: np.ndarray, values: np.ndarray) -> float | np.ndarray:
-    """Average of a :func:`fidelity_curve` table over its last axis, weighted by sin(vartheta).
-
-    The endpoint weights sin(0) and sin(pi) vanish analytically; they are
-    zeroed explicitly (float sin(pi) is ~1.2e-16) so the average over n
-    points equals the average over the n-2 interior points exactly.
-    """
-    weights = np.sin(varthetas)
-    weights[0] = 0.0
-    weights[-1] = 0.0
-    averages = values @ weights / np.sum(weights)
-    return float(averages) if averages.ndim == 0 else averages
+    return curve_average(fidelity_curve(ch, n_states)[1])
 
 
 def _curve(ch: HolonomicChannel, n_states: int):
@@ -253,19 +287,20 @@ def _curve(ch: HolonomicChannel, n_states: int):
     The curve's input-state terms are computed once, read-only.  Both results
     go through ``average_fidelity`` on channels carrying them, because the
     benchmark's planted-fault test patches that function: the grid on ch, each
-    objective call on a channel of ch's effective drive and thermal weights,
-    which recomputes only the survival amplitudes, the bath reduction and the
-    average.  The objective equals ``average_fidelity(build_channel(p, e,
-    ch.bath, gamma), n_states)`` bit for bit and keeps ch's survival array
-    alive no longer than ch.
+    objective call on a channel of ch's effective drive and thermal weights.
+    A call checks gamma, then computes only what depends on it: the survival
+    amplitudes, the bath reduction and the cached rule's average.  The
+    objective equals ``average_fidelity(build_channel(p, e, ch.bath, gamma),
+    n_states)`` bit for bit and keeps ch's survival array alive no longer
+    than ch.
     """
-    terms = _input_terms(ch.params, ch.effective, _curve_grid(ch, n_states))
+    terms = _input_terms(ch.params, ch.effective, _curve_rule(ch, n_states).nodes)
     for array in terms:
         array.flags.writeable = False
-    p, eff, b, weights = ch.params, ch.effective, ch.bath, ch.weights
+    make = _channel_maker(ch.params, ch.effective, ch.bath, ch.weights, terms)
+    n_levels = ch.weights.size
 
     def f_av(gamma: float | np.ndarray) -> float | np.ndarray:
-        gammas = _checked_gammas(gamma, weights.size)
-        return average_fidelity(_with_survival(p, eff, b, weights, gammas, terms), n_states)
+        return average_fidelity(make(_checked_gammas(gamma, n_levels)), n_states)
 
     return average_fidelity(replace(ch, _curve_terms=terms), n_states), f_av

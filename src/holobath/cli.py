@@ -18,10 +18,10 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .channel import N_INPUT_STATES, _sin_weighted_average, build_channel, fidelity_curve
+from .channel import N_INPUT_STATES, build_channel, curve_average, fidelity_curve
 from .error_model import ErrorParams
 from .lambda_system import LambdaParams
-from .reference import run_validation_suite
+from .reference import BRUTE_FORCE_MAX_COLLAPSED, run_validation_suite
 from .spin_bath import SpinBath
 from .sweep import (
     FIGURE_ALPHA_NS_INV,
@@ -215,8 +215,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_val = sub.add_parser("validate", help="brute-force cross-checks of the fast paths")
     p_val.add_argument("--cases", type=int, help="random cases (default %(default)d)")
-    p_val.add_argument("--seed", type=int)
-    p_val.add_argument("--max-spins", type=int)
+    p_val.add_argument("--seed", type=int, help="random seed (default %(default)d)")
+    p_val.add_argument("--max-spins", type=int,
+                       help="largest bath size N drawn, at most BRUTE_FORCE_MAX_COLLAPSED = "
+                            f"{BRUTE_FORCE_MAX_COLLAPSED} (default %(default)d)")
     suite = inspect.signature(run_validation_suite).parameters
     p_val.set_defaults(func=cmd_validate, **{name: p.default for name, p in suite.items()})
 
@@ -254,7 +256,7 @@ def cmd_fidelity(args) -> int:
     ch = build_channel(params, settings[0], bath, args.gamma_ns_inv)
     # Evaluate before printing, so a rejected input leaves stdout empty.
     varthetas, values = fidelity_curve(ch, args.n_states)
-    f_av = _sin_weighted_average(varthetas, values)
+    f_av = curve_average(values)
     if not math.isfinite(f_av):
         raise ValueError("F_av is not finite; an input overflows the kernel")
     eff = ch.effective

@@ -3,11 +3,13 @@
 A sweep evaluates the sin-weighted average fidelity on a gamma grid for one or
 more error settings.  One ``channel._curve`` call per setting, on one channel
 over the whole grid, returns the curve and its objective gamma -> F_av: the
-effective drive, the thermal weights and the input-state terms are computed
-once per curve, and every golden-section step recomputes only the survival
-amplitudes, the bath reduction and the average.  Values are formatted to 12
-significant digits, which makes the emitted CSV byte-identical for identical
-configurations.
+effective drive, the thermal weights, the input-state terms, the bath
+occupations and the ideal drive's tau0 and delta0 are computed once per curve,
+and the vartheta rule of the average once per n_states, so every
+golden-section step checks gamma and recomputes only the survival amplitudes,
+the bath reduction and the rule's average.  Values are formatted to 12
+significant digits from Python floats, one list per column, which makes the
+emitted CSV byte-identical for identical configurations.
 
 Two optima matter for a fidelity curve: the global maximum (which sits at
 gamma = 0 whenever the bath cannot beat the bare errored gate) and the best
@@ -176,16 +178,22 @@ class SweepResult:
         _write_text(path, self.to_csv_text())
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
+_CELL = "{:.12g}"  # every number the CSVs and labels print
+_fmt = _CELL.format
 
 
 def format_curves_csv(gammas, curves, labels, metadata_lines) -> str:
+    """Metadata comments, a header and one row per gamma: gamma, then one F_av per label.
+
+    Each column becomes a list of Python floats once, so every row formats
+    with one template call and without touching numpy.
+    """
     lines = [f"# {line}" for line in metadata_lines]
     lines.append("gamma_ns_inv," + ",".join(f"f_av_{label}" for label in labels))
-    for j, gamma in enumerate(gammas):
-        row = [_fmt(gamma)] + [_fmt(curves[i][j]) for i in range(len(labels))]
-        lines.append(",".join(row))
+    columns = [np.asarray(gammas).tolist()]
+    columns += [np.asarray(curves[i]).tolist() for i in range(len(labels))]
+    row = ",".join([_CELL] * len(columns))
+    lines += [row.format(*values) for values in zip(*columns)]
     return "\n".join(lines) + "\n"
 
 
@@ -274,17 +282,14 @@ def refine_interior_optimum(f, gammas: np.ndarray, values: np.ndarray,
     This is the bath-assisted operating point: the strongest peak away from
     the grid edges, even when the gamma = 0 boundary value is globally higher.
     """
-    candidates = [
-        i
-        for i in range(1, gammas.size - 1)
-        if values[i] >= values[i - 1] and values[i] >= values[i + 1]
-    ]
+    v = np.asarray(values).tolist()  # Python floats: the scan reads each value three times
+    candidates = [i for i in range(1, gammas.size - 1) if v[i] >= v[i - 1] and v[i] >= v[i + 1]]
     if not candidates:
         return None
-    best = max(candidates, key=lambda i: values[i])
+    best = max(candidates, key=v.__getitem__)
     x, fx = golden_section_maximize(f, float(gammas[best - 1]), float(gammas[best + 1]))
-    if values[best] > fx:  # keep the grid point when the search lands lower
-        x, fx = float(gammas[best]), float(values[best])
+    if v[best] > fx:  # keep the grid point when the search lands lower
+        x, fx = float(gammas[best]), v[best]
     return CurveOptimum(label, x, fx, on_boundary=False)
 
 

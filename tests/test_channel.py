@@ -14,6 +14,7 @@ from holobath.channel import (
     _fidelity,
     average_fidelity,
     build_channel,
+    curve_average,
     fidelity_curve,
     state_fidelity,
 )
@@ -326,6 +327,58 @@ class TestAverageFidelity:
         weights = np.sin(varthetas)
         weights[0] = weights[-1] = 0.0
         assert abs(average_fidelity(ch, 30) - np.dot(weights, dense) / weights.sum()) < 1e-12
+
+
+def legacy_rule(n):
+    """The vartheta grid and sin-weight reduction as written before the cached rule."""
+    varthetas = np.arange(n) * (math.pi / (n - 1))
+    weights = np.sin(varthetas)
+    weights[0] = 0.0
+    weights[-1] = 0.0
+    return varthetas, lambda values: values @ weights / np.sum(weights)
+
+
+class TestThetaRule:
+    @pytest.mark.parametrize("n", [3, 30, 31, 257])
+    def test_average_equals_the_legacy_reduction_bit_for_bit(self, params, bath50, n):
+        varthetas, legacy = legacy_rule(n)
+        assert np.array_equal(channel_mod._theta_rule(n).nodes, varthetas)
+        rng = np.random.default_rng(n)
+        ch = build_channel(params, ErrorParams(0.2, 0.15, 0.3, 0.0, 0.18), bath50,
+                           np.linspace(0.0, 8.0, 17))
+        tables = [rng.random(n), rng.random((17, n)), fidelity_curve(ch, n)[1]]
+        tables.append(tables[-1][5])
+        for values in tables:
+            expected = legacy(values)
+            averaged = curve_average(values)
+            if values.ndim == 1:
+                assert type(averaged) is float and averaged == float(expected)
+            else:
+                assert np.array_equal(averaged, expected)
+        assert np.array_equal(average_fidelity(ch, n), legacy(fidelity_curve(ch, n)[1]))
+
+    def test_table_needs_three_nodes(self):
+        for n in (1, 2):
+            with pytest.raises(ValueError, match="n_states must be an integer of at least 3"):
+                curve_average(np.ones((4, n)))
+
+    def test_arrays_are_read_only(self, params, bath50):
+        rule = channel_mod._theta_rule(30)
+        varthetas = fidelity_curve(build_channel(params, ErrorParams(), bath50, 0.0), 30)[0]
+        for array in (rule.nodes, rule.weights, varthetas):
+            with pytest.raises(ValueError, match="read-only"):
+                array[1] = 0.0
+
+    def test_oversized_rule_rejected_before_allocating(self, params, bath50):
+        # An empty gamma grid makes a (gamma, n_states) check pass at any n_states.
+        ch = build_channel(params, ErrorParams(), bath50, np.zeros(0))
+
+        def evaluate():
+            for call in (fidelity_curve, average_fidelity):
+                with pytest.raises(ValueError, match="x 100000000 input states"):
+                    call(ch, 100_000_000)
+
+        assert traced_peak(evaluate) < 100_000
 
 
 def traced_peak(fn) -> int:

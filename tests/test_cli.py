@@ -526,6 +526,16 @@ class TestDefaults:
         for name, parameter in inspect.signature(run_validation_suite).parameters.items():
             assert getattr(args, name) == parameter.default, name
 
+    def test_validate_help_shows_the_suite_defaults(self, capsys):
+        suite = inspect.signature(run_validation_suite).parameters
+        with pytest.raises(SystemExit):
+            run_cli(["validate", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        for flag in ("cases", "seed", "max-spins"):
+            default = suite[flag.replace("-", "_")].default
+            assert re.search(rf"--{flag} \S+ .*?\(default {default}\)", help_text), flag
+        assert f"BRUTE_FORCE_MAX_COLLAPSED = {BRUTE_FORCE_MAX_COLLAPSED}" in help_text
+
     def test_theta_help_names_the_default(self):
         # The help spells the default as "pi/2" rather than %(default)g, so a
         # moved default must take its help text along.

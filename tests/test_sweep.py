@@ -243,6 +243,32 @@ class TestRunSweep:
         value = data_line.split(",")[1]
         assert value == f"{result.curves[0, 0]:.12g}"
 
+    @pytest.mark.parametrize("values", [
+        "random",
+        [-0.0, 5e-324, 1e300, -1e300, 0.0],
+        # 13-digit values whose 12-digit rounding is an exact tie
+        [1234567890125.0, 1234567890135.0, -1234567890125.0, 0.5, 2.5e-5],
+    ])
+    def test_csv_matches_the_per_cell_formatter(self, values):
+        if values == "random":
+            rng = np.random.default_rng(7)
+            values = rng.standard_normal(60) * 10.0 ** rng.integers(-300, 300, 60)
+        gammas = np.asarray(values, dtype=float)
+        curves = np.array([gammas[::-1], np.sqrt(np.abs(gammas))])
+        labels, meta = ("a", "b"), ["tool: test"]
+
+        def per_cell(gammas, curves, labels, metadata_lines):
+            lines = [f"# {line}" for line in metadata_lines]
+            lines.append("gamma_ns_inv," + ",".join(f"f_av_{label}" for label in labels))
+            for j, gamma in enumerate(gammas):
+                row = [f"{gamma:.12g}"] + [f"{curves[i][j]:.12g}" for i in range(len(labels))]
+                lines.append(",".join(row))
+            return "\n".join(lines) + "\n"
+
+        expected = per_cell(gammas, curves, labels, meta)
+        assert sweep_mod.format_curves_csv(gammas, curves, labels, meta) == expected
+        assert sweep_mod.format_curves_csv(gammas, list(curves), labels, meta) == expected
+
     def test_write_failure_reports_path(self, tmp_path):
         result = run_sweep(small_config(grid=GammaGrid(0.0, 0.0, 1.0)))
         missing = tmp_path / "no" / "such" / "dir" / "out.csv"
@@ -366,6 +392,33 @@ class TestCurveObjective:
             f(np.zeros(231))
         with pytest.raises(ValueError, match="gamma must be finite"):
             f(math.nan)
+
+    GAMMA_FORMS = {
+        "float": float,
+        "float64": np.float64,
+        "0-d": np.array,
+        "1-D": lambda x: np.array([0.5, x]),
+    }
+
+    @pytest.mark.parametrize("form", sorted(GAMMA_FORMS))
+    def test_objective_checks_every_gamma_form(self, form, monkeypatch):
+        # Scalars and arrays share one path, so a scalar cannot skip a check.
+        as_form = self.GAMMA_FORMS[form]
+        cfg = small_config()
+        _, (f,) = sweep_mod._sweep(cfg)
+        expected = public_f_av(cfg, as_form(2.8))
+        assert np.array_equal(f(as_form(2.8)), expected)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="gamma must be finite"):
+                f(as_form(bad))
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("survival amplitudes computed before the size check")
+
+        monkeypatch.setattr(channel_mod, "bright_survival_amplitude", unreachable)
+        monkeypatch.setattr(channel_mod, "MAX_KERNEL_ELEMENTS", 20)  # N + 1 = 21
+        with pytest.raises(ValueError, match="gamma values x 21 bath levels"):
+            f(as_form(2.8))
 
 
 def oracle_refine_global_optimum(f, gammas, values, label):
