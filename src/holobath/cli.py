@@ -6,11 +6,16 @@ honest.  Flags may also come from a flat ``key = value`` config file (same
 names with underscores; a ``#`` at the start of a line or after whitespace
 starts a comment).  Explicit flags win over the file, which wins over the
 defaults: the fig1_left configuration of :mod:`holobath.sweep`, zero errors.
+
+One parser per process, built on the first command line, parses every later
+one and holds data only: :func:`main` looks ``cmd_<command>`` up by name at
+call time, and ``--config`` sets the file's values on a parser of its own.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import math
 import re
@@ -49,7 +54,7 @@ def load_config_file(path: str) -> dict:
     underscores; each value takes its flag's type, and the repeatable
     ``eps_kappa`` takes a comma-separated list.
     """
-    commands = _command_parsers(build_parser())
+    commands = _command_parsers(_shared_parser())
     actions = {
         action.dest: action
         for name in ("sweep", "optimize", "fidelity")
@@ -72,6 +77,8 @@ def load_config_file(path: str) -> dict:
         try:
             if isinstance(action, argparse._AppendAction):
                 out[key] = [convert(part) for part in raw.split(",") if part.strip()]
+                if not out[key]:
+                    raise ValueError("expected at least one comma-separated value")
             else:
                 out[key] = convert(raw)
         except ValueError as exc:
@@ -88,12 +95,12 @@ def parse_args(argv=None) -> argparse.Namespace:
     ``--eps-kappa`` appends to its default, so the file's list is applied
     only when the command line has no ``--eps-kappa``: the flag replaces it.
     """
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     if not getattr(args, "config", None):
         return args
     values = load_config_file(args.config)
     eps_kappa = values.pop("eps_kappa", None)
+    parser = build_parser()  # the file's defaults must not reach the shared parser
     _command_parsers(parser)[args.command].set_defaults(**values)
     args = parser.parse_args(argv)
     if args.eps_kappa is None:
@@ -147,7 +154,7 @@ def _add_physics_flags(parser: argparse.ArgumentParser, grid: bool = True) -> No
     group.add_argument("--delta-ns-inv", type=float, default=FIGURE_PARAMS.delta,
                        help="detuning (ns^-1, default %(default)g)")
     group.add_argument("--theta-rad", type=float, default=FIGURE_PARAMS.theta,
-                       help="mixing angle (rad, default pi/2)")
+                       help=f"mixing angle (rad, default {FIGURE_PARAMS.theta / math.pi:g}*pi)")
     group.add_argument("--phi-rad", type=float, default=FIGURE_PARAMS.phi,
                        help="relative pulse phase (rad, default %(default)g)")
     group.add_argument("--n-spins", type=int, default=figure.n_spins[0],
@@ -196,22 +203,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_physics_flags(p_sweep)
     p_sweep.add_argument("--output", default="sweep.csv",
                          help="CSV output path (default %(default)s)")
-    p_sweep.set_defaults(func=cmd_sweep)
 
-    p_opt = sub.add_parser("optimize", help="locate the optimal coupling strength")
-    _add_physics_flags(p_opt)
-    p_opt.set_defaults(func=cmd_optimize)
+    _add_physics_flags(sub.add_parser("optimize", help="locate the optimal coupling strength"))
 
     p_fid = sub.add_parser("fidelity", help="single-point F(vartheta) table and F_av")
     _add_physics_flags(p_fid, grid=False)
     p_fid.add_argument("--gamma-ns-inv", type=float, default=0.0,
                        help="coupling strength (ns^-1, default %(default)g)")
-    p_fid.set_defaults(func=cmd_fidelity)
 
     p_rep = sub.add_parser("reproduce", help="run a baked-in figure configuration")
     p_rep.add_argument("figure", choices=FIGURE_SPECS)
     p_rep.add_argument("--out-dir", default=".", help="directory for the CSV output")
-    p_rep.set_defaults(func=cmd_reproduce)
 
     p_val = sub.add_parser("validate", help="brute-force cross-checks of the fast paths")
     p_val.add_argument("--cases", type=int, help="random cases (default %(default)d)")
@@ -220,9 +222,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="largest bath size N drawn, at most BRUTE_FORCE_MAX_COLLAPSED = "
                             f"{BRUTE_FORCE_MAX_COLLAPSED} (default %(default)d)")
     suite = inspect.signature(run_validation_suite).parameters
-    p_val.set_defaults(func=cmd_validate, **{name: p.default for name, p in suite.items()})
+    p_val.set_defaults(**{name: p.default for name, p in suite.items()})
 
     return parser
+
+
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use and never mutated."""
+    return build_parser()
 
 
 def cmd_sweep(args) -> int:
@@ -297,7 +305,7 @@ def cmd_validate(args) -> int:
 def main(argv=None) -> int:
     try:
         args = parse_args(argv)
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

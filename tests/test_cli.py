@@ -61,6 +61,19 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="n_spins"):
             cli.load_config_file(str(path))
 
+    @pytest.mark.parametrize("value", ["", ",", " , "])
+    def test_empty_eps_kappa_rejected(self, tmp_path, capsys, value):
+        # An empty list would fail later without naming the file.
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"n_spins = 4\neps_kappa ={value}\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: .*eps_kappa"):
+            cli.load_config_file(str(path))
+        for command in ("sweep", "optimize", "fidelity"):
+            assert run_cli([command, "--config", str(path)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: {path}:2: ") and "eps_kappa" in captured.err
+
 
 class TestErrorSettings:
     def test_default_is_zero_errors(self):
@@ -118,7 +131,7 @@ class TestConfigPrecedence:
                 commands[name].add(key)
         for name, keys in commands.items():
             namespace = vars(cli.build_parser().parse_args([name]))
-            assert set(namespace) - {"command", "func", "config"} == keys
+            assert set(namespace) - {"command", "config"} == keys
 
     @pytest.mark.parametrize("key, value, commands", CONFIG_VALUES,
                              ids=[key for key, _, _ in CONFIG_VALUES])
@@ -476,21 +489,38 @@ class TestValidateCommand:
         assert captured.err == f"error: {message}\n"
 
 
-def test_import_leaves_scipy_unloaded():
-    # The runtime needs only numpy: scipy, pytest and hypothesis are test
-    # dependencies (importing scipy cost ~0.3 s of start-up).
+def run_python(code):
+    """Run ``code`` in a fresh interpreter that imports this checkout's holobath."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(holobath.__file__)))
-    code = ("import sys, holobath.cli; "
-            "loaded = [m for m in ('scipy', 'pytest', 'hypothesis') if m in sys.modules]; "
-            "sys.exit(' '.join(loaded) or None)")
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": src},
         timeout=60,
     )
+
+
+def test_import_leaves_scipy_unloaded():
+    # The runtime needs only numpy: scipy, pytest and hypothesis are test
+    # dependencies (importing scipy cost ~0.3 s of start-up).
+    code = ("import sys, holobath.cli; "
+            "loaded = [m for m in ('scipy', 'pytest', 'hypothesis') if m in sys.modules]; "
+            "sys.exit(' '.join(loaded) or None)")
+    proc = run_python(code)
     assert proc.returncode == 0, f"importing holobath.cli loaded or raised: {proc.stderr}"
+
+
+def test_import_builds_no_parser():
+    # Every fresh interpreter imports holobath.cli; the parser waits for a command line.
+    code = ("import argparse; built = []; init = argparse.ArgumentParser.__init__; "
+            "argparse.ArgumentParser.__init__ = "
+            "lambda self, *a, **k: built.append(1) or init(self, *a, **k); "
+            "import holobath.cli; at_import = len(built); "
+            "holobath.cli.parse_args(['validate']); print(at_import, len(built) > 0)")
+    proc = run_python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 True\n"
 
 
 class TestReproduceCommand:
@@ -537,8 +567,7 @@ class TestDefaults:
         assert f"BRUTE_FORCE_MAX_COLLAPSED = {BRUTE_FORCE_MAX_COLLAPSED}" in help_text
 
     def test_theta_help_names_the_default(self):
-        # The help spells the default as "pi/2" rather than %(default)g, so a
-        # moved default must take its help text along.
+        # The help spells the default as a multiple of pi, taken from FIGURE_PARAMS.
         actions = [
             action
             for parser in cli._command_parsers(cli.build_parser()).values()
@@ -548,8 +577,8 @@ class TestDefaults:
         assert len(actions) == 3
         for action in actions:
             assert action.default == FIGURE_PARAMS.theta
-            if "pi/2" in action.help:
-                assert FIGURE_PARAMS.theta == math.pi / 2
+            (multiple,) = re.findall(r"^mixing angle \(rad, default (\S+)\*pi\)$", action.help)
+            assert float(multiple) * math.pi == pytest.approx(FIGURE_PARAMS.theta)
 
 
 class TestParser:
@@ -562,3 +591,64 @@ class TestParser:
             run_cli(["--version"])
         assert excinfo.value.code == 0
         assert "holobath" in capsys.readouterr().out
+
+
+class TestSharedParser:
+    """One parser per process serves every command line and is never changed."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        # Start without a parser and count every one built from here on.
+        cli._shared_parser.cache_clear()
+        calls = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or build())
+        yield calls
+        cli._shared_parser.cache_clear()
+
+    def test_main_builds_the_parser_at_most_once(self, builds, tmp_path, capsys):
+        for argv in (
+            ["sweep", "--n-spins", "2", "--gamma-stop-ns-inv", "0",
+             "--output", str(tmp_path / "s.csv")],
+            ["optimize", "--n-spins", "2", "--gamma-stop-ns-inv", "1",
+             "--gamma-step-ns-inv", "0.5"],
+            ["fidelity", "--n-states", "4"],
+            ["reproduce", "fig1_left", "--out-dir", str(tmp_path)],
+            ["validate", "--cases", "2"],
+        ):
+            assert run_cli(argv) == 0, argv
+        for argv, code in ((["sweep", "--no-such-flag"], 2), (["validate", "--help"], 0),
+                           (["--version"], 0)):
+            with pytest.raises(SystemExit) as excinfo:
+                run_cli(argv)
+            assert excinfo.value.code == code, argv
+        assert len(builds) == 1
+
+    def test_config_values_do_not_reach_a_later_command_line(self, builds, tmp_path, capsys):
+        plain = ["fidelity", "--n-states", "4", "--gamma-ns-inv", "2.8"]
+        assert run_cli(plain) == 0
+        fresh = capsys.readouterr().out
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n_spins = 7\neps_kappa = 0.1\ntemperature_k = 80\nn_states = 5\n")
+        assert run_cli(["fidelity", "--config", str(cfg), "--gamma-ns-inv", "2.8"]) == 0
+        assert capsys.readouterr().out != fresh
+        assert run_cli(plain) == 0
+        assert capsys.readouterr().out == fresh
+
+    def test_help_is_the_same_on_every_call(self, builds, capsys):
+        texts = []
+        for _ in range(2):
+            with pytest.raises(SystemExit):
+                run_cli(["validate", "--help"])
+            texts.append(capsys.readouterr().out)
+        assert "--max-spins" in texts[0]
+        assert texts[1] == texts[0]
+
+    def test_commands_are_looked_up_at_call_time(self, capsys, monkeypatch):
+        argv = ["optimize", "--n-spins", "2", "--gamma-stop-ns-inv", "1",
+                "--gamma-step-ns-inv", "0.5"]
+        assert run_cli(argv) == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_optimize", lambda args: seen.append(args.command) or 7)
+        assert run_cli(argv) == 7
+        assert seen == ["optimize"]
