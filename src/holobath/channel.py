@@ -28,7 +28,7 @@ rule: n equidistant nodes vartheta_k = k*pi/(n-1) on the xi = 0 meridian, their
 sin weights with both endpoints zeroed, and the weights' sum, built once per n
 and cached read-only; the average of a table on the nodes is
 values @ weights / sum.  :func:`_curve` builds a sweep curve: it computes the
-first half, the bath occupations and the ideal drive's tau0 and delta0 once
+first half, the bath occupations and the ideal drive's gap delta0 once
 and returns F_av on the grid and an objective gamma -> F_av whose channels
 carry those terms, so each golden-section step checks gamma and computes only
 the survival amplitudes, the second half and the rule's average.  The dense
@@ -156,13 +156,13 @@ def _channel_maker(p: LambdaParams, eff: LambdaParams, b: SpinBath, weights: np.
     """checked gammas -> the channel whose u_m run the effective drive at detuning delta' + gamma*m.
 
     The gamma-independent factors, the occupations m and the ideal drive's
-    tau0 and delta0, are computed here once for every channel it makes.
+    gap delta0, are computed here once for every channel it makes.
     """
-    occupations, tau0, delta0 = b.occupations(), p.tau0, p.delta0
+    occupations, delta0 = b.occupations(), p.delta0
 
     def make(gammas: np.ndarray) -> HolonomicChannel:
         shifts = eff.delta + gammas[..., None] * occupations
-        survival = bright_survival_amplitude(eff.omega, shifts, tau0, delta0)
+        survival = bright_survival_amplitude(eff.omega, shifts, delta0)
         survival.flags.writeable = False
         return HolonomicChannel(p, eff, b, gammas if gammas.ndim else float(gammas),
                                 weights, survival, curve_terms)
@@ -199,18 +199,13 @@ def _bath_fidelity(terms: tuple[np.ndarray, np.ndarray, np.ndarray], weights: np
     return np.minimum(np.sqrt(np.maximum(f2, 0.0)), 1.0)
 
 
-def _fidelity(ch: HolonomicChannel, varthetas: np.ndarray, xi: float = 0.0) -> np.ndarray:
-    """F for inputs (vartheta, xi), shape gamma.shape + varthetas.shape."""
-    return _bath_fidelity(_input_terms(ch.params, ch.effective, varthetas, xi),
-                          ch.weights, ch.survival)
-
-
 def state_fidelity(ch: HolonomicChannel, s: InputState) -> float | np.ndarray:
     """Fidelity of the channel output against the ideal gate for one input state.
 
     A float for a scalar-gamma channel, one value per gamma otherwise.
     """
-    values = _fidelity(ch, np.asarray(s.vartheta), s.xi)
+    terms = _input_terms(ch.params, ch.effective, np.asarray(s.vartheta), s.xi)
+    values = _bath_fidelity(terms, ch.weights, ch.survival)
     return float(values) if values.ndim == 0 else values
 
 
@@ -259,7 +254,7 @@ def fidelity_curve(ch: HolonomicChannel,
     varthetas = _curve_rule(ch, n_states).nodes
     terms = ch._curve_terms
     if terms is None or terms[0].size != n_states:
-        return varthetas, _fidelity(ch, varthetas)
+        terms = _input_terms(ch.params, ch.effective, varthetas)
     return varthetas, _bath_fidelity(terms, ch.weights, ch.survival)
 
 

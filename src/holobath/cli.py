@@ -52,7 +52,8 @@ def load_config_file(path: str) -> dict:
 
     The keys are the flags of ``sweep``, ``optimize`` and ``fidelity`` with
     underscores; each value takes its flag's type, and the repeatable
-    ``eps_kappa`` takes a comma-separated list.
+    ``eps_kappa`` takes a comma-separated list.  The file is UTF-8, with or
+    without a byte-order mark.
     """
     commands = _command_parsers(_shared_parser())
     actions = {
@@ -62,7 +63,10 @@ def load_config_file(path: str) -> dict:
         if action.option_strings and action.dest not in ("help", "config")
     }
     out = {}
-    text = Path(path).read_text(encoding="utf-8")
+    try:  # utf-8-sig: an editor's byte-order mark is not part of the first key
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = re.split(r"(?:^|\s)#", raw_line, maxsplit=1)[0].strip()
         if not line:

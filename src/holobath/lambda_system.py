@@ -117,11 +117,11 @@ def bright_dark_states(p: LambdaParams) -> tuple[np.ndarray, np.ndarray]:
     return dark, bright
 
 
-def bright_survival_amplitude(omega_eff, effective_detuning, tau0: float, delta0: float):
+def bright_survival_amplitude(omega_eff, effective_detuning, delta0):
     """Bright-state survival amplitude <b|exp(-i H_D tau0)|b> in closed form.
 
-    Valid under the cyclic-time convention tau0 = 2*pi/delta0, where delta0 is
-    the gap of the *ideal* block.  Any argument may be an array (one entry per
+    The pulse runs for the cyclic time tau0 = 2*pi/delta0 of the *ideal*
+    block, whose gap is delta0.  Any argument may be an array (one entry per
     bath level or per drive); the result matches the scalar calls elementwise.
     A NaN or non-positive entry of ``omega_eff`` or ``delta0`` raises ValueError.
     """
@@ -131,6 +131,7 @@ def bright_survival_amplitude(omega_eff, effective_detuning, tau0: float, delta0
     if not (np.all(delta0 > 0.0) if isinstance(delta0, np.ndarray) else delta0 > 0.0):
         raise ValueError(f"delta0 must be positive, got {delta0}")
     D = np.asarray(effective_detuning, dtype=float)
+    tau0 = TWO_PI / delta0
     big = np.hypot(D, 2.0 * omega_eff)
     angle = np.pi * big / delta0
     # cos(eta) = D/big, sigma = D/2.  np.multiply, not *: on scalars * is

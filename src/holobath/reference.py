@@ -30,8 +30,8 @@ The full system (x) bath evolution works in the collapsed occupation basis
 (dimension 3*(N+1), each level m carrying its binomial multiplicity as
 weight) and optionally in the raw 2^N product basis, which validates the
 collapse itself.  Both are capped to keep runtimes in the seconds.  The
-Lambda couplings |0>-|e>-|1> form no closed loop, so the phase gauge
-D = diag(conj g0, conj g1, 1), g_j the phase of leg j, makes the Hamiltonian
+Lambda couplings |0>-|e>-|1> form no closed loop, so the gauge of unit phases
+D = diag(conj g0, conj g1, 1), g_j = exp(i angle(leg j)), makes the Hamiltonian
 real: H = D H_r D^dag, H_r = |H| with the signed detuning.  The evolution
 diagonalises the real symmetric system (x) bath matrix, at about half the
 LAPACK cost of the complex one, with the gauge moved onto the input kets and
@@ -230,16 +230,12 @@ def _full_evolutions(cases, basis: str = "collapsed") -> np.ndarray:
         bath_energies = alpha * (occupations - 0.5 * n)
         # H = D H_r D^dag with D (x) 1 commuting with the bath terms: the real
         # H_r (x) 1 + 1 (x) diag(E) + gamma |e><e| (x) diag(m) is diagonalised,
-        # the kets gain the leg phases g (1 for a leg that is off) and the output
-        # rows conj(g).  The last two terms are added to the diagonal in place.
+        # the kets gain the leg phases g = exp(i angle(leg)), by atan2 a unit
+        # phase even for an off or subnormal leg, and the output rows conj(g).
+        # The last two terms are added to the diagonal in place.
         h_system = np.stack([raw_error_hamiltonian(p, e) for p, e in zip(params, errors)])
         legs = h_system[:, 2, :]
-        # Complex division forms 1/|leg|, which overflows for a subnormal leg, so
-        # each leg is first brought to |leg| in [1/2, 1) by an exact power of two.
-        exponents = np.frexp(np.abs(legs))[1]
-        legs_scaled = np.ldexp(legs.real, -exponents) + 1j * np.ldexp(legs.imag, -exponents)
-        gauges = np.divide(legs_scaled, np.abs(legs_scaled), out=np.ones_like(legs),
-                           where=legs != 0)
+        gauges = np.exp(1j * np.angle(legs))
         gauges[:, 2] = 1.0
         h_real = np.abs(h_system)
         h_real[:, 2, 2] = legs[:, 2].real  # the detuning keeps its sign
@@ -310,9 +306,9 @@ def _survival_deviations(rows: np.ndarray) -> np.ndarray:
     half, phase = 0.5 * theta, np.exp(1j * phi)
     h = _lambda_hamiltonians(omega * phase * np.sin(half), -omega * np.cos(half), shift)
     bright = np.stack([phase.conj() * np.sin(half), -np.cos(half), np.zeros_like(half)], axis=-1)
-    tau0s = 2.0 * math.pi / np.hypot(delta, 2.0 * omega) * factor
-    dense = np.einsum("ki,kij,kj->k", bright.conj(), expm_hermitian(h, tau0s), bright)
-    return np.abs(bright_survival_amplitude(omega, shift, tau0s, 2.0 * math.pi / tau0s) - dense)
+    gap = np.hypot(delta, 2.0 * omega) / factor  # tau0 = factor * 2*pi/hypot(delta, 2*omega)
+    dense = np.einsum("ki,kij,kj->k", bright.conj(), expm_hermitian(h, 2.0 * math.pi / gap), bright)
+    return np.abs(bright_survival_amplitude(omega, shift, gap) - dense)
 
 
 @dataclass(frozen=True)
@@ -446,8 +442,8 @@ def run_validation_suite(
     rho_prod = np.stack([full_evolution(*case, basis="product") for case in collapse])
     worst_collapse = np.max(trace_distance(_full_evolutions(collapse), rho_prod))
 
-    # Each drive runs for the cyclic time tau0 of an ideal drive with gap
-    # 2*pi/tau0, which is all the closed form assumes of its last arguments.
+    # Each drive runs for the cyclic time 2*pi/gap of an ideal drive with gap
+    # hypot(delta, 2*omega)/factor, the one number the closed form takes.
     # One row per drive, drawn in the order omega, delta, theta, phi, shift,
     # tau0 factor: the same doubles as one scalar draw after another.
     low = [1e-3, -10.0, 0.0, 0.0, -10.0, 0.2]

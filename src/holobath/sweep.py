@@ -4,7 +4,7 @@ A sweep evaluates the sin-weighted average fidelity on a gamma grid for one or
 more error settings.  One ``channel._curve`` call per setting, on one channel
 over the whole grid, returns the curve and its objective gamma -> F_av: the
 effective drive, the thermal weights, the input-state terms, the bath
-occupations and the ideal drive's tau0 and delta0 are computed once per curve,
+occupations and the ideal drive's gap delta0 are computed once per curve,
 and the vartheta rule of the average once per n_states, so every
 golden-section step checks gamma and recomputes only the survival amplitudes,
 the bath reduction and the rule's average.  Values are formatted to 12
@@ -341,9 +341,9 @@ class Check(NamedTuple):
 class FigureSpec:
     """One figure: a sweep per bath size, its summary lines and its checks.
 
-    The strings are format templates.  A curve check measures the bath
-    optimum of each curve and is prefixed with the curve label; a figure
-    check measures the list of all the figure's curves.
+    The title is a format template; the bath sizes fix the curves (see
+    :func:`reproduce`).  A curve check measures each curve's bath optimum,
+    prefixed with its label; a figure check, the list of the figure's curves.
     """
 
     title: str  # {beta_alpha}
@@ -352,11 +352,10 @@ class FigureSpec:
     errors: tuple[ErrorParams, ...]
     curve_checks: tuple[Check, ...] = ()
     figure_checks: tuple[Check, ...] = ()
-    label: str = "{setting}"
-    curve_line: str = (
-        "  {label}: bath optimum gamma*={gamma:.4f} ns^-1, F_av*={f_av:.3%}  "
-        "(gamma=0: {baseline:.3%})"
-    )
+
+    def __post_init__(self):
+        if len(self.n_spins) > 1 and len(self.errors) > 1:
+            raise ValueError("a figure over several bath sizes takes one error setting")
 
 
 def _bath_gammas(curves: list[FigureCurve]) -> list[float]:
@@ -414,8 +413,6 @@ FIGURE_SPECS = {
             Check(_gamma_spread, lambda spread: spread < 0.03,
                   "gamma* spread below 3% (measured {:.2%})".format),
         ),
-        label="N{n_spins}",
-        curve_line="  {label}: bath optimum gamma*={gamma:.4f} ns^-1, F_av*={f_av:.3%}",
     ),
 }
 
@@ -442,11 +439,15 @@ def reproduce(figure: str, out_dir: str) -> ReproduceReport:
 
     Writes the sweep CSV plus a summary CSV of optima into ``out_dir`` and
     returns a report comparing the measured optima against the quoted
-    reference numbers, with one pass/fail line per check.
+    reference numbers, with one pass/fail line per check.  Over one bath
+    size the curves are the error settings, each line ending in its gamma = 0
+    baseline; over several they are ``N<n>``, listed in one CSV ``n_spins``
+    line, with no baseline: at gamma = 0 the bath decouples, so every N has it.
     """
     if figure not in FIGURE_SPECS:
         raise ValueError(f"unknown figure {figure!r}; choose one of {tuple(FIGURE_SPECS)}")
     spec = FIGURE_SPECS[figure]
+    by_size = len(spec.n_spins) > 1  # one curve per bath size, all in one CSV
     os.makedirs(out_dir, exist_ok=True)
     stem = os.path.join(out_dir, figure)
 
@@ -456,14 +457,14 @@ def reproduce(figure: str, out_dir: str) -> ReproduceReport:
         cfg = SweepConfig(FIGURE_PARAMS, spec.errors, bath, FIGURE_GRID)
         result, objectives = _sweep(cfg)
         for f, values, grid in zip(objectives, result.curves, result.grid_optima):
-            label = spec.label.format(setting=grid.label, n_spins=n_spins)
+            label = f"N{n_spins}" if by_size else grid.label
             interior = refine_interior_optimum(f, result.gammas, values, label)
             # An interior grid maximum is the best interior one, so `interior` refines it.
             best = replace(grid, label=label) if grid.on_boundary else interior
             curves.append(FigureCurve(label, values, best, interior))
 
     meta = result.metadata_lines()  # the last sweep; a figure's sweeps differ only in N
-    if len(spec.n_spins) > 1:  # one CSV across bath sizes lists them in one line
+    if by_size:  # the CSV lists its bath sizes in one line
         meta = [line for line in meta if not line.startswith("n_spins")]
         meta.insert(1, f"n_spins: {','.join(str(n) for n in spec.n_spins)}")
     columns, labels = [c.values for c in curves], [c.label for c in curves]
@@ -477,8 +478,9 @@ def reproduce(figure: str, out_dir: str) -> ReproduceReport:
             lines.append(f"  {c.label}: no interior optimum; global gamma*={c.best.gamma_star:.4f}")
             verdicts.append((False, f"{c.label}: interior optimum exists"))
             continue
-        lines.append(spec.curve_line.format(label=c.label, gamma=c.bath.gamma_star,
-                                            f_av=c.bath.f_av_star, baseline=float(c.values[0])))
+        baseline = "" if by_size else f"  (gamma=0: {float(c.values[0]):.3%})"
+        lines.append(f"  {c.label}: bath optimum gamma*={c.bath.gamma_star:.4f} ns^-1, "
+                     f"F_av*={c.bath.f_av_star:.3%}{baseline}")
         verdicts += [check.verdict(c.bath, f"{c.label}: ") for check in spec.curve_checks]
     verdicts += [check.verdict(curves) for check in spec.figure_checks]
     lines += [f"[{'PASS' if ok else 'FAIL'}] {text}" for ok, text in verdicts]

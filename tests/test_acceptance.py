@@ -235,7 +235,7 @@ def test_criterion_9_closed_form_vs_dense_exponential():
         shift = rng.uniform(-10.0, 10.0)
         theta = rng.uniform(0.0, math.pi)
         phi = rng.uniform(0.0, 2.0 * math.pi)
-        closed = bright_survival_amplitude(omega_eff, shift, PARAMS.tau0, PARAMS.delta0)
+        closed = bright_survival_amplitude(omega_eff, shift, PARAMS.delta0)
         frame = LambdaParams(omega=omega_eff, delta=shift, theta=theta, phi=phi)
         u = expm_hermitian(raw_error_hamiltonian(frame, ErrorParams()), PARAMS.tau0)
         _, b = bright_dark_states(frame)

@@ -11,7 +11,8 @@ from holobath import reference
 from holobath.channel import (
     MAX_KERNEL_ELEMENTS,
     InputState,
-    _fidelity,
+    _bath_fidelity,
+    _input_terms,
     average_fidelity,
     build_channel,
     curve_average,
@@ -115,7 +116,7 @@ class TestBuildChannel:
         ch = build_channel(params, ErrorParams.symmetric(0.2), bath50, 1.0)
         assert abs(cyclic_times([ch.effective])[0] - params.tau0) > 0.1
         shifts = ch.effective.delta + 1.0 * bath50.occupations()
-        expected = bright_survival_amplitude(ch.effective.omega, shifts, params.tau0, params.delta0)
+        expected = bright_survival_amplitude(ch.effective.omega, shifts, params.delta0)
         np.testing.assert_array_equal(ch.survival, expected)
 
     def test_zero_temperature_single_kraus_term(self, params, symmetric_errors):
@@ -235,7 +236,8 @@ class TestStateFidelity:
         # the expanded F^2 can then land a roundoff below 0.
         p = LambdaParams(omega=1.0, delta=0.0, theta=1.5, phi=5.5)
         ch = build_channel(p, ErrorParams.symmetric(1.0), SpinBath(2, 1.0, 1.0), 0.0)
-        values = _fidelity(ch, np.linspace(0.0, math.pi, 9), 5.5)
+        terms = _input_terms(ch.params, ch.effective, np.linspace(0.0, math.pi, 9), 5.5)
+        values = _bath_fidelity(terms, ch.weights, ch.survival)
         assert np.all(np.isfinite(values))
         assert values[4] < 1e-7
 

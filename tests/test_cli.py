@@ -74,6 +74,30 @@ class TestConfigFile:
             assert captured.out == ""
             assert captured.err.startswith(f"error: {path}:2: ") and "eps_kappa" in captured.err
 
+    def test_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path, capsys):
+        # Editors on some platforms save UTF-8 with a leading byte-order mark.
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        text = "omega_ns_inv = 1.5\nn_spins = 4\n"
+        plain.write_bytes(text.encode("utf-8"))
+        marked.write_bytes(text.encode("utf-8-sig"))
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert cli.load_config_file(str(marked)) == cli.load_config_file(str(plain))
+        assert cli.load_config_file(str(marked))["omega_ns_inv"] == 1.5
+        assert run_cli(["optimize", "--config", str(marked), "--n-states", "5"]) == 0
+        from_marked = capsys.readouterr().out
+        assert run_cli(["optimize", "--config", str(plain), "--n-states", "5"]) == 0
+        assert capsys.readouterr().out == from_marked
+
+    def test_undecodable_file_is_named(self, tmp_path, capsys):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(b"n_spins = 4\n# temp\xe9rature\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: .*decode byte 0xe9"):
+            cli.load_config_file(str(path))
+        assert run_cli(["sweep", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: ")
+
 
 class TestErrorSettings:
     def test_default_is_zero_errors(self):
@@ -199,12 +223,13 @@ class TestFidelityCommand:
     def test_runs_the_fidelity_kernel_once(self, capsys, monkeypatch):
         # The average is taken from the printed table, not from a second run.
         calls = []
-        kernel = channel_mod._fidelity
-        monkeypatch.setattr(channel_mod, "_fidelity",
-                            lambda *args: calls.append(args) or kernel(*args))
+        for half in ("_input_terms", "_bath_fidelity"):
+            kernel = getattr(channel_mod, half)
+            monkeypatch.setattr(channel_mod, half, lambda *args, _half=half, _kernel=kernel:
+                                calls.append(_half) or _kernel(*args))
         code = run_cli(["fidelity", "--eps-kappa", "0.1", "--gamma-ns-inv", "2.8"])
         assert code == 0
-        assert len(calls) == 1
+        assert calls == ["_input_terms", "_bath_fidelity"]
 
     def test_cyclic_time_runs_no_oracle(self, capsys, monkeypatch):
         # The line prints the errored drive's closed-form tau0, which validate

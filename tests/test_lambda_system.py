@@ -172,7 +172,7 @@ class TestPropagator:
         angle = math.pi * math.sqrt(13.0 / 8.0)
         expected = cmath.exp(-1.5j * t) * (math.cos(angle) + 1j * (3.0 / math.sqrt(13.0)) * math.sin(angle))
         assert complex(b.conj() @ u @ b) == pytest.approx(expected, abs=1e-12)
-        closed = bright_survival_amplitude(params.omega, 3.0, params.tau0, params.delta0)
+        closed = bright_survival_amplitude(params.omega, 3.0, params.delta0)
         assert closed == pytest.approx(expected, abs=1e-12)
 
     @given(omega=rabi, delta=detunings, shift=detunings, theta=angles_theta, phi=angles_phi,
@@ -190,7 +190,7 @@ class TestPropagator:
         # an algorithm independent of both the closed form and the oracles.
         ideal = LambdaParams(omega=1.0, delta=2.0)
         p = LambdaParams(omega=omega, delta=ideal.delta, theta=1.0, phi=2.0)
-        amp = bright_survival_amplitude(omega, shift, ideal.tau0, ideal.delta0)
+        amp = bright_survival_amplitude(omega, shift, ideal.delta0)
         _, b = bright_dark_states(p)
         u_ref = dense_propagator(sub_hamiltonian(p, shift), ideal.tau0)
         assert abs(amp - b.conj() @ u_ref @ b) < 1e-12
@@ -214,11 +214,11 @@ class TestPropagator:
 
 class TestSurvivalAmplitude:
     def test_error_free_reduces_to_gate_phase(self, params):
-        amp = bright_survival_amplitude(params.omega, params.delta, params.tau0, params.delta0)
+        amp = bright_survival_amplitude(params.omega, params.delta, params.delta0)
         assert amp == pytest.approx(-cmath.exp(-1j * params.chi), abs=1e-12)
 
     def test_large_detuning_freezes_bright_state(self, params):
-        amp = bright_survival_amplitude(1.0, 1e6, params.tau0, params.delta0)
+        amp = bright_survival_amplitude(1.0, 1e6, params.delta0)
         assert abs(amp) > 1.0 - 1e-11
 
     @given(omega=rabi, shift=detunings)
@@ -226,27 +226,27 @@ class TestSurvivalAmplitude:
     def test_matches_propagator_element(self, omega, shift):
         ideal = LambdaParams(omega=1.0, delta=2.0)
         p = LambdaParams(omega=omega, delta=ideal.delta, theta=0.9, phi=5.1)
-        amp = bright_survival_amplitude(omega, shift, ideal.tau0, ideal.delta0)
+        amp = bright_survival_amplitude(omega, shift, ideal.delta0)
         _, b = bright_dark_states(p)
         u = expm_hermitian(sub_hamiltonian(p, shift), ideal.tau0)
         assert abs(amp - b.conj() @ u @ b) < 1e-12
 
     def test_vectorized_over_detunings(self, params):
         shifts = np.array([-3.0, 0.0, 2.0, 11.5])
-        amps = bright_survival_amplitude(1.2, shifts, params.tau0, params.delta0)
-        singles = [bright_survival_amplitude(1.2, s, params.tau0, params.delta0) for s in shifts]
+        amps = bright_survival_amplitude(1.2, shifts, params.delta0)
+        singles = [bright_survival_amplitude(1.2, s, params.delta0) for s in shifts]
         np.testing.assert_allclose(amps, singles, atol=1e-15)
 
     def test_magnitude_bounded_by_one(self, params):
         shifts = np.linspace(-20.0, 20.0, 101)
-        amps = bright_survival_amplitude(0.7, shifts, params.tau0, params.delta0)
+        amps = bright_survival_amplitude(0.7, shifts, params.delta0)
         assert np.all(np.abs(amps) <= 1.0 + 1e-12)
 
     def test_rejects_bad_arguments(self, params):
         with pytest.raises(ValueError):
-            bright_survival_amplitude(-1.0, 2.0, params.tau0, params.delta0)
+            bright_survival_amplitude(-1.0, 2.0, params.delta0)
         with pytest.raises(ValueError):
-            bright_survival_amplitude(1.0, 2.0, params.tau0, 0.0)
+            bright_survival_amplitude(1.0, 2.0, 0.0)
 
     @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 40))
     @settings(max_examples=40, deadline=None)
@@ -255,12 +255,12 @@ class TestSurvivalAmplitude:
         rng = np.random.default_rng(seed)
         omegas = rng.uniform(1e-3, 10.0, count)
         shifts = rng.uniform(-10.0, 10.0, count)
-        tau0s = rng.uniform(0.1, 5.0, count)
-        amps = bright_survival_amplitude(omegas, shifts, tau0s, 2.0 * math.pi / tau0s)
+        gaps = 2.0 * math.pi / rng.uniform(0.1, 5.0, count)
+        amps = bright_survival_amplitude(omegas, shifts, gaps)
         assert amps.shape == (count,)
         singles = [
-            bright_survival_amplitude(omega, shift, tau0, 2.0 * math.pi / tau0)
-            for omega, shift, tau0 in zip(omegas.tolist(), shifts.tolist(), tau0s.tolist())
+            bright_survival_amplitude(omega, shift, gap)
+            for omega, shift, gap in zip(omegas.tolist(), shifts.tolist(), gaps.tolist())
         ]
         assert amps.tolist() == singles
 
@@ -269,9 +269,9 @@ class TestSurvivalAmplitude:
         good = np.array([0.5, 1.0, 2.0])
         with_bad = np.array([0.5, bad, 2.0])
         with pytest.raises(ValueError, match="omega_eff must be positive"):
-            bright_survival_amplitude(with_bad, good, params.tau0, good)
+            bright_survival_amplitude(with_bad, good, good)
         with pytest.raises(ValueError, match="delta0 must be positive"):
-            bright_survival_amplitude(good, good, params.tau0, with_bad)
+            bright_survival_amplitude(good, good, with_bad)
 
 
 class TestIdealGate:

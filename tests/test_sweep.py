@@ -592,6 +592,46 @@ class TestReproduce:
             f"wrote {stem}_optima.csv",
         ]
 
+    def test_layout_follows_from_the_bath_sizes(self, tmp_path, monkeypatch):
+        # Beyond the three paper figures: one setting over two bath sizes, and
+        # two settings at one bath size.
+        specs = {
+            "by_size": sweep_mod.FigureSpec(title="by size", n_spins=(4, 6), temperature_k=50.0,
+                                            errors=(ErrorParams.symmetric(0.2),)),
+            "by_setting": sweep_mod.FigureSpec(
+                title="by setting", n_spins=(4,), temperature_k=50.0,
+                errors=(ErrorParams.symmetric(0.1), ErrorParams.symmetric(0.2))),
+        }
+        monkeypatch.setattr(sweep_mod, "FIGURE_SPECS", specs)
+        expected = {"by_size": (["N4", "N6"], "# n_spins: 4,6"),
+                    "by_setting": (["eps_0.1", "eps_0.2"], "# n_spins: 4")}
+        for figure, (labels, n_spins_line) in expected.items():
+            report = reproduce(figure, out_dir=str(tmp_path))
+            assert report.passed
+            text = (tmp_path / f"{figure}.csv").read_text()
+            metadata = [line for line in text.splitlines() if line.startswith("#")]
+            rows = list(csv.reader(line for line in text.splitlines() if not line.startswith("#")))
+            assert rows[0] == ["gamma_ns_inv"] + [f"f_av_{label}" for label in labels]
+            assert [line for line in metadata if line.startswith("# n_spins")] == [n_spins_line]
+            optima = (tmp_path / f"{figure}_optima.csv").read_text()
+            assert [row["curve"] for row in csv.DictReader(io.StringIO(optima))] == labels
+            curve_lines = report.lines[1:1 + len(labels)]
+            for label, baseline, line in zip(labels, rows[1][1:], curve_lines):
+                assert line.startswith(f"  {label}: bath optimum gamma*=")
+                suffix = f"  (gamma=0: {float(baseline):.3%})"
+                assert line.endswith(suffix) == (figure == "by_setting"), line
+        # At gamma = 0 the bath decouples, so every bath size shares the baseline
+        # the by-size lines leave out.
+        by_size = (tmp_path / "by_size.csv").read_text().splitlines()
+        first_row = next(line for line in by_size if line.startswith("0,")).split(",")
+        assert first_row[1] == first_row[2]
+
+    def test_several_bath_sizes_take_one_setting(self):
+        # The curves of such a figure are labelled by bath size alone.
+        with pytest.raises(ValueError, match="one error setting"):
+            sweep_mod.FigureSpec(title="t", n_spins=(4, 6), temperature_k=50.0,
+                                 errors=(ErrorParams.symmetric(0.1), ErrorParams.symmetric(0.2)))
+
     @pytest.mark.parametrize("figure", sorted(sweep_mod.FIGURE_SPECS))
     def test_one_golden_section_search_per_curve(self, tmp_path, monkeypatch, figure):
         calls = []
