@@ -49,7 +49,7 @@ import numpy as np
 
 from .channel import HolonomicChannel, InputState, build_channel, state_fidelity
 from .error_model import ErrorParams
-from .lambda_system import LambdaParams, bright_survival_amplitude, ideal_gate
+from .lambda_system import LambdaParams, bright_survival_amplitude, ideal_gate, require_count
 from .spin_bath import SpinBath
 
 __all__ = [
@@ -279,23 +279,22 @@ def cyclic_times(drives) -> np.ndarray:
     half_delta = 0.5j * np.array([p.delta for p in drives])
     t_ub = np.array([2.0 * math.pi / max(2.0 * p.omega, abs(p.delta)) for p in drives])
 
-    def signal(t: np.ndarray, k) -> np.ndarray:
-        amp = np.sum(weights[k] * np.exp(-1j * eigvals[k] * t[:, None]), axis=-1)
-        return (np.exp(half_delta[k] * t) * amp).imag
+    def signal(t: np.ndarray) -> np.ndarray:
+        amp = np.sum(weights * np.exp(-1j * eigvals * t[:, None]), axis=-1)
+        return (np.exp(half_delta * t) * amp).imag
 
     lo = 0.5 * t_ub
     hi = t_ub * (1.0 + 1e-9)  # nudge past the root when delta = 0 lands t_ub on it
-    f_lo = signal(lo, slice(None))
-    for _ in range(200):
-        active = np.flatnonzero(hi - lo >= 1e-13 * t_ub)
-        if active.size == 0:
-            break
-        mid = 0.5 * (lo[active] + hi[active])
-        f_mid = signal(mid, active)
-        same = (f_mid < 0.0) == (f_lo[active] < 0.0)
-        lo[active[same]] = mid[same]
-        f_lo[active[same]] = f_mid[same]
-        hi[active[~same]] = mid[~same]
+    f_lo = signal(lo)
+    # Every bracket starts (0.5 + 1e-9) * t_ub wide, so every drive needs the
+    # same 43 halvings to fall below 1e-13 * t_ub (2^-42 / 2 > 1e-13 > 2^-43 / 2).
+    for _ in range(43):
+        mid = 0.5 * (lo + hi)
+        f_mid = signal(mid)
+        same = (f_mid < 0.0) == (f_lo < 0.0)
+        lo = np.where(same, mid, lo)
+        f_lo = np.where(same, f_mid, f_lo)
+        hi = np.where(same, hi, mid)
     return 0.5 * (lo + hi)
 
 
@@ -407,20 +406,14 @@ def run_validation_suite(
     Returns one :class:`CheckResult` per check; all must pass for the channel
     construction, fidelity kernel and cyclic-time formula to be trusted.
     """
-    if cases < 1:
-        raise ValueError(f"cases must be at least 1, got {cases}")
-    if cases > MAX_VALIDATION_CASES:
+    if require_count("cases", cases, 1) > MAX_VALIDATION_CASES:
         raise ValueError(
             f"cases must be at most MAX_VALIDATION_CASES = {MAX_VALIDATION_CASES}, got {cases}"
         )
-    if max_spins < 1:
-        raise ValueError(f"max_spins must be at least 1, got {max_spins}")
-    if max_spins > BRUTE_FORCE_MAX_COLLAPSED:
+    if require_count("max_spins", max_spins, 1) > BRUTE_FORCE_MAX_COLLAPSED:
         raise ValueError(f"max_spins must be at most BRUTE_FORCE_MAX_COLLAPSED = "
                          f"{BRUTE_FORCE_MAX_COLLAPSED}, got {max_spins}")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(require_count("seed", seed, 0))
 
     # np.maximum, not max(): a NaN anywhere makes its check fail.
     worst_channel = worst_complete = worst_unital = worst_fidelity = 0.0

@@ -6,8 +6,8 @@ over the whole grid, returns the curve and its objective gamma -> F_av: the
 effective drive, the thermal weights, the input-state terms, the bath
 occupations and the ideal drive's gap delta0 are computed once per curve,
 and the vartheta rule of the average once per n_states, so every
-golden-section step checks gamma and recomputes only the survival amplitudes,
-the bath reduction and the rule's average.  Values are formatted to 12
+golden-section step recomputes only the survival amplitudes, the bath
+reduction and the rule's average.  Values are formatted to 12
 significant digits from Python floats, one list per column, which makes the
 emitted CSV byte-identical for identical configurations.
 

@@ -497,14 +497,14 @@ class TestValidateCommand:
         assert captured.err.startswith("error: cases must be at most MAX_VALIDATION_CASES")
 
     @pytest.mark.parametrize("flag, value, message", [
-        ("--max-spins", "0", "max_spins must be at least 1, got 0"),
-        ("--max-spins", "-2", "max_spins must be at least 1, got -2"),
+        ("--max-spins", "0", "max_spins must be an integer of at least 1, got 0"),
+        ("--max-spins", "-2", "max_spins must be an integer of at least 1, got -2"),
         # Clamping these would run a smaller suite than asked and still print [PASS].
         ("--max-spins", "13", "max_spins must be at most BRUTE_FORCE_MAX_COLLAPSED = "
                               f"{BRUTE_FORCE_MAX_COLLAPSED}, got 13"),
         ("--max-spins", "50", "max_spins must be at most BRUTE_FORCE_MAX_COLLAPSED = "
                               f"{BRUTE_FORCE_MAX_COLLAPSED}, got 50"),
-        ("--seed", "-1", "seed must be non-negative, got -1"),
+        ("--seed", "-1", "seed must be an integer of at least 0, got -1"),
     ], ids=["max_spins=0", "max_spins=-2", "max_spins=13", "max_spins=50", "seed=-1"])
     def test_rejects_out_of_range_input(self, capsys, flag, value, message):
         code = run_cli(["validate", flag, value])

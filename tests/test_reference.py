@@ -1,6 +1,7 @@
 import cmath
 import inspect
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -450,6 +451,13 @@ class TestFindCyclicTime:
     # the reference took its signal from the dense exponential.
     @example(drives=[LambdaParams(omega=8.99616531906449, delta=5.986806154622464,
                                   theta=1.5203279157937677, phi=2.4304850993370457)])
+    # cyclic_times takes a fixed number of halvings; these extremes reach
+    # the per-drive search's stopping width after exactly as many.
+    @example(drives=[LambdaParams(omega=1.0, delta=0.0)])
+    @example(drives=[LambdaParams(omega=1.0, delta=5e-324)])
+    @example(drives=[LambdaParams(omega=1e8, delta=-1e8)])
+    @example(drives=[LambdaParams(omega=1e150, delta=1e150)])
+    @example(drives=[LambdaParams(omega=1e-150, delta=-1e-150)])
     @settings(max_examples=40, deadline=None)
     def test_lockstep_equals_per_drive_search(self, drives):
         # Each drive bisects through its own midpoints whatever shares the stack.
@@ -553,3 +561,15 @@ class TestValidationSuite:
         finally:
             tracemalloc.stop()
         assert peak < 100_000
+
+    @pytest.mark.parametrize("name, value, minimum", [
+        ("cases", True, 1), ("cases", 2.5, 1), ("cases", 0, 1),
+        ("max_spins", 2.5, 1), ("max_spins", np.float64(3.0), 1),
+        ("seed", 1.5, 0), ("seed", -1, 0),
+    ])
+    def test_counts_must_be_integers(self, name, value, minimum):
+        # The count rule of SpinBath, SweepConfig and fidelity_curve: a bool
+        # does not run a one-case suite, and a float is a ValueError.
+        message = f"{name} must be an integer of at least {minimum}, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_validation_suite(**{name: value})
