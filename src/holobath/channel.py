@@ -133,16 +133,30 @@ def build_channel(
     the whole grid, sharing the thermal weights.  The pulse always runs for
     the ideal cyclic time tau0 = 2*pi/delta0 of the unprimed parameters;
     errors enter only through the effective drive.
+
+    This is the kernel's one domain check, made before any kernel array is
+    built: the survival phases D*tau0/2 and pi*hypot(D, 2*omega')/delta0 of
+    the shifted detuning D = delta' + gamma*m must be finite for every gamma
+    and m.  Both grow with |D|, which peaks at m = N and at the smallest or
+    largest of gamma and 0, so those two shifts decide it.  A NaN or infinite
+    gamma, an overflowing D or phase and an infinite tau0 all raise ValueError
+    naming the inputs; an accepted channel yields finite fidelities.
     """
     gammas = np.asarray(gamma, dtype=float)
     if gammas.ndim > 1:
         raise ValueError(f"gamma must be a scalar or a 1-D array, got shape {gammas.shape}")
-    if not np.isfinite(gammas).all():
-        raise ValueError(f"gamma must be finite, got {gamma}")
     _require_kernel_size(gammas.size, b.n_spins + 1, "bath levels")
+    eff = apply_errors(p, e)
+    # Plain floats, in the kernel's expressions and order, so no overflow warns.
+    for g in (float(gammas.min(initial=0.0)), float(gammas.max(initial=0.0))):
+        shift = float(eff.delta) + g * b.n_spins
+        phases = 0.5 * shift * p.tau0, math.pi * math.hypot(shift, 2.0 * eff.omega) / p.delta0
+        if not all(map(math.isfinite, phases)):
+            raise ValueError(f"the kernel phases are not finite at gamma={g}, N={b.n_spins} "
+                             f"for omega={p.omega}, delta={p.delta} with {e}")
     weights = thermal_weights(b)
     weights.flags.writeable = False
-    return _channel_maker(p, apply_errors(p, e), b, weights)(gammas)
+    return _channel_maker(p, eff, b, weights)(gammas)
 
 
 def _channel_maker(p: LambdaParams, eff: LambdaParams, b: SpinBath, weights: np.ndarray,

@@ -194,8 +194,21 @@ def _add_physics_flags(parser: argparse.ArgumentParser, grid: bool = True) -> No
                          help="grid step (ns^-1, default %(default)g)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser that reads ``-2e3`` as a negative number, not as a flag.
+
+    Python 3.11's argparse takes only ``-12`` and ``-1.5`` for negative
+    numbers and would read ``--delta-ns-inv -2e3`` as two flags.  Subparsers
+    inherit the class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="holobath",
         description="Bath-assisted holonomic maps: fidelity sweeps over the "
                     "system-bath coupling strength.",
@@ -268,9 +281,6 @@ def cmd_fidelity(args) -> int:
     ch = build_channel(params, settings[0], bath, args.gamma_ns_inv)
     # Evaluate before printing, so a rejected input leaves stdout empty.
     varthetas, values = fidelity_curve(ch, args.n_states)
-    f_av = curve_average(values)
-    if not math.isfinite(f_av):
-        raise ValueError("F_av is not finite; an input overflows the kernel")
     eff = ch.effective
     print(f"tau0_ns = {params.tau0:.9f}   chi_rad = {params.chi:.9f}")
     print(
@@ -283,7 +293,7 @@ def cmd_fidelity(args) -> int:
     print("vartheta_rad,fidelity")
     for vartheta, value in zip(varthetas, values):
         print(f"{vartheta:.6f},{value:.12f}")
-    print(f"F_av (n={args.n_states}) = {f_av:.12f}")
+    print(f"F_av (n={args.n_states}) = {curve_average(values):.12f}")
     return 0
 
 

@@ -64,7 +64,9 @@ def apply_errors(p: LambdaParams, e: ErrorParams) -> LambdaParams:
     active, so errors rescale the amplitude but cannot tilt the axis; the
     continuity limit theta' = theta, phi' = phi applies.  An errored drive
     whose gap hypot(delta', 2*omega') overflows is rejected here, naming the
-    drive and the errors it came from.
+    drive and the errors it came from.  A drive that fits here can still
+    overflow the kernel's phases once the bath shifts delta'; that is
+    ``channel.build_channel``'s domain check.
     """
     delta = (1.0 + e.kappa) * p.delta
     theta, phi = p.theta, p.phi

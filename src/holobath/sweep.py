@@ -208,8 +208,9 @@ def _write_text(path, text: str) -> None:
 def run_sweep(cfg: SweepConfig) -> SweepResult:
     """Evaluate F_av on the grid for every error setting.
 
-    Builds exactly one channel per error setting, spanning the whole grid,
-    and raises ValueError on a non-finite F_av; the result is deterministic.
+    Builds exactly one channel per error setting, spanning the whole grid;
+    ``build_channel`` rejects a setting that the kernel cannot compute with
+    ValueError.  The result is deterministic.
     """
     return _sweep(cfg)[0]
 
@@ -223,10 +224,8 @@ def _sweep(cfg: SweepConfig) -> tuple[SweepResult, list[Callable]]:
     gammas = cfg.grid.values()
     labels = cfg.labels()
     curves, objectives = [], []
-    for label, errors in zip(labels, cfg.error_settings):
+    for errors in cfg.error_settings:
         values, f = _curve(build_channel(cfg.params, errors, cfg.bath, gammas), cfg.n_states)
-        if not np.isfinite(values).all():
-            raise ValueError(f"F_av of curve {label} is not finite; an input overflows the kernel")
         curves.append(values)
         objectives.append(f)
     result = SweepResult(

@@ -1,9 +1,11 @@
 import math
+import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 import holobath.channel as channel_mod
@@ -12,6 +14,7 @@ from holobath.channel import (
     MAX_KERNEL_ELEMENTS,
     InputState,
     _bath_fidelity,
+    _channel_maker,
     _input_terms,
     average_fidelity,
     build_channel,
@@ -19,7 +22,7 @@ from holobath.channel import (
     fidelity_curve,
     state_fidelity,
 )
-from holobath.error_model import ErrorParams
+from holobath.error_model import ErrorParams, apply_errors
 from holobath.lambda_system import LambdaParams, bright_survival_amplitude, ideal_gate
 from holobath.reference import (
     _input_ket,
@@ -170,7 +173,7 @@ class TestBuildChannel:
 
     @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf, [0.0, math.nan]])
     def test_rejects_non_finite_gamma(self, params, bath50, gamma):
-        with pytest.raises(ValueError, match="gamma must be finite"):
+        with pytest.raises(ValueError, match=r"phases are not finite at gamma=(nan|-?inf)"):
             build_channel(params, ErrorParams(), bath50, gamma)
 
     def test_rejects_gamma_matrix(self, params, bath50):
@@ -193,6 +196,92 @@ class TestBuildChannel:
         with pytest.raises(ValueError, match="read-only"):
             getattr(ch, name)[..., 0] = 1
         np.testing.assert_array_equal(average_fidelity(ch), before)
+
+
+def log_uniform(signed: bool = True):
+    """Magnitudes log-uniform over 1e-320...1e308, of both signs when ``signed``."""
+    magnitudes = st.floats(-320.0, 308.0).map(lambda x: 10.0 ** x)
+    if not signed:
+        return magnitudes
+    return st.tuples(st.sampled_from((1.0, -1.0)), magnitudes).map(lambda pair: pair[0] * pair[1])
+
+
+# The largest delta whose pi*delta stays finite lies near here; with omega = 1
+# the kernel's phase pi*hypot(delta, 2)/delta0 computes pi*delta first.
+PI_EDGE = sys.float_info.max / math.pi
+
+
+def ulps(x: float, k: int) -> float:
+    """x moved by k units in the last place."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+class TestKernelDomain:
+    """build_channel rejects an input exactly when the unchecked kernel gives a non-finite F_av."""
+
+    @given(
+        drive=st.tuples(log_uniform(signed=False), st.one_of(log_uniform(), st.just(0.0)),
+                        st.floats(0.0, math.pi), st.floats(0.0, 2.0 * math.pi)),
+        errors=st.tuples(*[st.one_of(log_uniform(signed=False),
+                                     st.floats(-320.0, -1e-3).map(lambda x: -(10.0 ** x)))] * 2,
+                         st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi),
+                         st.one_of(log_uniform(), st.just(0.0))),
+        n_spins=st.integers(1, 29),
+        gamma=st.one_of(log_uniform(), st.lists(log_uniform(), min_size=1, max_size=4),
+                        st.sampled_from([math.nan, math.inf, -math.inf])),
+    )
+    @example(drive=(1.0, 1e308, math.pi / 2, 0.0), errors=(0.0,) * 5, n_spins=20, gamma=2.8)
+    @example(drive=(1.0, 2.0, math.pi / 2, 0.0), errors=(0.0,) * 5, n_spins=20, gamma=1e307)
+    @example(drive=(1e-310, 0.0, math.pi / 2, 0.0), errors=(0.0,) * 5, n_spins=20, gamma=0.0)
+    @example(drive=(1e-310, 1e-320, 1.0, 0.0), errors=(0.1, -0.2, 0.3, 0.0, 0.5), n_spins=3,
+             gamma=[0.0, 1.0])
+    @example(drive=(1.0, -5e307, math.pi / 2, 0.0), errors=(0.0,) * 5, n_spins=20,
+             gamma=[0.0, 5e306])
+    # Each phase fits, their sum would not; the top level m = N overflows, m = N - 1 would not.
+    @example(drive=(0.5, 0.0, math.pi / 2, 0.0), errors=(0.0,) * 5, n_spins=1, gamma=4e307)
+    @example(drive=(1.0, 2.0, math.pi / 2, 0.0), errors=(0.0,) * 5, n_spins=2, gamma=4e307)
+    @example(drive=(1.0, ulps(PI_EDGE, -2), 1.0, 0.0), errors=(0.0,) * 5, n_spins=1, gamma=0.0)
+    @example(drive=(1.0, ulps(PI_EDGE, -1), 1.0, 0.0), errors=(0.0,) * 5, n_spins=1, gamma=0.0)
+    @example(drive=(1.0, PI_EDGE, 1.0, 0.0), errors=(0.0,) * 5, n_spins=1, gamma=0.0)
+    @example(drive=(1.0, ulps(PI_EDGE, 1), 1.0, 0.0), errors=(0.0,) * 5, n_spins=1, gamma=0.0)
+    @example(drive=(1.0, ulps(PI_EDGE, 2), 1.0, 0.0), errors=(0.0,) * 5, n_spins=1, gamma=0.0)
+    @example(drive=(1.0, 2.0, 1.0, 0.0), errors=(0.0,) * 5, n_spins=1, gamma=[0.0, math.nan])
+    @example(drive=(1.0, 2.0, 1.0, 0.0), errors=(0.0,) * 5, n_spins=4, gamma=-math.inf)
+    @settings(max_examples=400, deadline=None)
+    def test_rejects_exactly_what_the_kernel_cannot_compute(self, drive, errors, n_spins, gamma):
+        try:
+            p, e = LambdaParams(*drive), ErrorParams(*errors)
+            eff = apply_errors(p, e)
+        except ValueError:
+            reject()  # rejected at the dataclass boundary, before build_channel
+        bath = SpinBath(n_spins, 2.0, 0.3)
+        gammas = np.asarray(gamma, dtype=float)
+        with np.errstate(all="ignore"):
+            unchecked = average_fidelity(_channel_maker(p, eff, bath, thermal_weights(bath))(gammas))
+        computable = bool(np.isfinite(unchecked).all())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                ch = build_channel(p, e, bath, gamma)
+            except ValueError:
+                assert not computable
+                return
+            assert computable
+            np.testing.assert_array_equal(average_fidelity(ch), unchecked)
+
+    def test_accepts_a_shift_that_crosses_zero(self):
+        # delta' = -5e307 and gamma*N = 1e308 each fit, and so does every D between:
+        # the sum of their sizes would overflow, but no phase does.
+        p = LambdaParams(omega=1.0, delta=-5e307)
+        ch = build_channel(p, ErrorParams(), SpinBath(20, 2.0, 0.3), np.array([0.0, 5e306]))
+        assert np.isfinite(average_fidelity(ch)).all()
+
+    def test_edge_examples_straddle_the_overflow(self):
+        # The ulp examples above test both sides of the pi*delta overflow.
+        assert math.isinf(math.pi * ulps(PI_EDGE, 2))
+        assert math.isfinite(math.pi * ulps(PI_EDGE, -2))
 
 
 class TestStateFidelity:

@@ -260,14 +260,45 @@ class TestFidelityCommand:
         assert code == 1
         assert "error:" in captured.err
 
-    # pi * delta overflows in the survival amplitude, which warns before the guard.
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_average_is_an_error(self, capsys):
         code = run_cli(["fidelity", "--delta-ns-inv", "1e308"])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
-        assert "error:" in captured.err and "not finite" in captured.err
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: the kernel phases are not finite") and "delta=1e+308" in line
+
+    @pytest.mark.parametrize("args, named", [
+        (["--gamma-ns-inv", "1e307"], "gamma=1e+307, N=20"),
+        (["--omega-ns-inv", "1e-310", "--delta-ns-inv", "0"], "omega=1e-310, delta=0.0"),
+    ])
+    def test_phase_overflow_is_rejected_before_the_kernel(self, capsys, args, named):
+        # A huge gamma*N, or tau0 = inf, makes a survival phase non-finite.
+        code = run_cli(["fidelity", *args])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: the kernel phases are not finite") and named in line
+
+    def test_errored_drive_with_infinite_cyclic_time_is_accepted(self, capsys):
+        # Only the ideal tau0 enters the kernel; the errored one is a diagnostic.
+        code = run_cli(["fidelity", "--omega-ns-inv", "1e-307", "--delta-ns-inv", "0",
+                        "--eps-kappa", "-0.99"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "errored cyclic time tau0'_ns = inf (diagnostic)" in out
+        assert out.endswith("F_av (n=30) = 0.499876640091\n")
+
+    @pytest.mark.parametrize("flag, value", [("--delta-ns-inv", "-2e3"),
+                                             ("--zeta0-rad", "-1e-3"),
+                                             ("--gamma-ns-inv", "-1.5E+2")])
+    def test_negative_value_in_exponent_form(self, capsys, flag, value):
+        # Python 3.11's argparse reads "-2e3" as a flag unless told otherwise.
+        assert run_cli(["fidelity", flag, value]) == 0
+        spaced = capsys.readouterr().out
+        assert run_cli(["fidelity", f"{flag}={value}"]) == 0
+        assert capsys.readouterr().out == spaced
 
     def test_overflowing_drive_is_rejected_before_the_kernel(self, capsys):
         # No RuntimeWarning filter: the drive's gap is checked in LambdaParams.
@@ -374,15 +405,14 @@ class TestSweepCommand:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run#1.csv", "run.cfg"]
         assert "# n_spins: 4\n" in (tmp_path / "run#1.csv").read_text()
 
-    # pi * delta overflows in the survival amplitude, which warns before the guard.
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_curve_is_an_error(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         code = run_cli(["sweep", "--delta-ns-inv", "1e308", "--output", str(out)])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
-        assert "error:" in captured.err and "eps_0 is not finite" in captured.err
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: the kernel phases are not finite") and "delta=1e+308" in line
         assert not out.exists()
 
     def test_missing_config_file(self, capsys):
@@ -457,14 +487,14 @@ class TestOptimizeCommand:
         assert lines[0].startswith("eps_0.1: gamma*=0.000000") and "boundary" in lines[0]
         assert lines[1].startswith("eps_0.2: gamma*=2.7") and "boundary" not in lines[1]
 
-    # pi * delta overflows in the survival amplitude, which warns before the guard.
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_curve_is_an_error(self, capsys):
         code = run_cli(["optimize", "--delta-ns-inv", "1e308", "--eps-kappa", "0.1"])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
-        assert "error:" in captured.err and "eps_0.1 is not finite" in captured.err
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: the kernel phases are not finite") and "delta=1e+308" in line
+        assert "epsilon0=0.1" in line
 
 
 class TestValidateCommand:
