@@ -52,6 +52,7 @@ from .lambda_system import (
     bright_survival_amplitude,
     ideal_gate,
     require_count,
+    require_finite,
     wrap_phase,
 )
 from .spin_bath import SpinBath, thermal_weights
@@ -69,10 +70,12 @@ __all__ = [
 ]
 
 N_INPUT_STATES = 30  # vartheta points of the F_av average unless a caller asks for others
-# The largest kernel arrays are (len(gamma), N+1) in build_channel, about 72
-# bytes per element at its peak, and (len(gamma), n_states) in the fidelity
-# kernel, about 25.  3e6 elements (near 220 MB) admit a MAX_GRID_POINTS grid
-# with the largest figure bath, N = 28, and N_INPUT_STATES input states.
+# The one size limit: the largest kernel arrays are (len(gamma), N+1) in
+# build_channel, about 72 bytes per element at its peak, and (len(gamma),
+# n_states) in the fidelity kernel, about 25, and a gamma grid has one row per
+# point.  3e6 elements (near 220 MB) admit a grid as fine as the golden-section
+# tolerance over the figure range (80,001 points) with the largest figure
+# bath, N = 28, and N_INPUT_STATES input states.
 MAX_KERNEL_ELEMENTS = 3_000_000
 
 
@@ -93,10 +96,9 @@ class InputState:
     xi: float = 0.0
 
     def __post_init__(self):
+        require_finite(self, ("vartheta", "xi"))
         if not 0.0 <= self.vartheta <= math.pi:
             raise ValueError(f"vartheta must lie in [0, pi], got {self.vartheta}")
-        if not math.isfinite(self.xi):
-            raise ValueError(f"xi must be finite, got {self.xi}")
         object.__setattr__(self, "xi", wrap_phase(self.xi))
 
 
@@ -149,7 +151,7 @@ def build_channel(
     eff = apply_errors(p, e)
     # Plain floats, in the kernel's expressions and order, so no overflow warns.
     for g in (float(gammas.min(initial=0.0)), float(gammas.max(initial=0.0))):
-        shift = float(eff.delta) + g * b.n_spins
+        shift = eff.delta + g * b.n_spins
         phases = 0.5 * shift * p.tau0, math.pi * math.hypot(shift, 2.0 * eff.omega) / p.delta0
         if not all(map(math.isfinite, phases)):
             raise ValueError(f"the kernel phases are not finite at gamma={g}, N={b.n_spins} "
@@ -244,22 +246,20 @@ def _theta_rule(n_states: int) -> _ThetaRule:
     return _ThetaRule(nodes, weights, np.sum(weights))
 
 
-def _curve_rule(ch: HolonomicChannel, n_states: int) -> _ThetaRule:
-    """The rule over n_states nodes, once a (gamma, n_states) kernel fits."""
-    n_states = require_count("n_states", n_states, 3)
-    # survival holds one row of N+1 amplitudes per gamma
-    _require_kernel_size(ch.survival.size // ch.weights.size, n_states, "input states")
-    return _theta_rule(n_states)
-
-
 def fidelity_curve(ch: HolonomicChannel,
                    n_states: int = N_INPUT_STATES) -> tuple[np.ndarray, np.ndarray]:
     """(vartheta_k, F(vartheta_k)) over the equidistant input-state grid (xi = 0).
 
     The vartheta_k array is read-only.  For a gamma-array channel the values
-    have shape (len(gamma), n_states).
+    have shape (len(gamma), n_states).  ``n_states`` must be an integer of at
+    least 3, and a (len(gamma), n_states) table may hold at most
+    MAX_KERNEL_ELEMENTS values; both are checked before anything is computed.
     """
-    varthetas = _curve_rule(ch, n_states).nodes
+    # Count first: the cached rule would take 30.0 for 30 unchecked.
+    n_states = require_count("n_states", n_states, 3)
+    # survival holds one row of N+1 amplitudes per gamma
+    _require_kernel_size(ch.survival.size // ch.weights.size, n_states, "input states")
+    varthetas = _theta_rule(n_states).nodes
     terms = ch._curve_terms  # only _curve attaches terms, on the n_states it asks for
     if terms is None:
         terms = _input_terms(ch.params, ch.effective, varthetas)
@@ -298,7 +298,7 @@ def _curve(ch: HolonomicChannel, n_states: int):
     n_states)`` bit for bit and keeps ch's survival array alive no longer
     than ch.
     """
-    terms = _input_terms(ch.params, ch.effective, _curve_rule(ch, n_states).nodes)
+    terms = _input_terms(ch.params, ch.effective, _theta_rule(n_states).nodes)
     for array in terms:
         array.flags.writeable = False
     make = _channel_maker(ch.params, ch.effective, ch.bath, ch.weights, terms)

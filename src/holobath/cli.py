@@ -195,16 +195,18 @@ def _add_physics_flags(parser: argparse.ArgumentParser, grid: bool = True) -> No
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argparse parser that reads ``-2e3`` as a negative number, not as a flag.
+    """An argparse parser that reads ``-2e3`` and ``-inf`` as negative numbers, not as flags.
 
     Python 3.11's argparse takes only ``-12`` and ``-1.5`` for negative
-    numbers and would read ``--delta-ns-inv -2e3`` as two flags.  Subparsers
-    inherit the class.
+    numbers and would read ``--delta-ns-inv -2e3`` as two flags.  The matcher
+    also takes ``-inf``, ``-infinity`` and ``-nan`` in any case, as ``float``
+    does.  Subparsers inherit the class.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?$")
+        self._negative_number_matcher = re.compile(
+            r"^-(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|(?i:inf(?:inity)?|nan))$")
 
 
 def build_parser() -> argparse.ArgumentParser:

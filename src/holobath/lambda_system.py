@@ -33,10 +33,16 @@ TWO_PI = 2.0 * math.pi
 
 
 def require_finite(obj, names) -> None:
-    """Raise ValueError naming the first of ``obj``'s fields that is NaN or infinite."""
+    """Store ``obj``'s fields as Python floats; raise ValueError naming the first NaN or inf.
+
+    A NumPy scalar would otherwise carry NumPy's arithmetic, which warns on
+    overflow, into code that checks for overflow itself.
+    """
     for name in names:
-        if not math.isfinite(getattr(obj, name)):
-            raise ValueError(f"{name} must be finite, got {getattr(obj, name)}")
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+        object.__setattr__(obj, name, float(value))
 
 
 def require_count(name: str, value, minimum: int) -> int:
@@ -67,7 +73,7 @@ class LambdaParams:
     phi: float = 0.0
 
     def __post_init__(self):
-        require_finite(self, ("omega", "delta", "phi"))
+        require_finite(self, ("omega", "delta", "theta", "phi"))
         if not self.omega > 0.0:
             raise ValueError(f"Rabi amplitude omega must be positive, got {self.omega}")
         if not math.isfinite(self.delta0):

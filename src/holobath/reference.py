@@ -269,15 +269,20 @@ def cyclic_times(drives) -> np.ndarray:
     drive sees the midpoints its own bisection would, so the result does not
     depend on which other drives share the stack.  The stack is
     eigendecomposed once, and <e|U(t)|b> = sum_n V_en (V^dag b)_n e^{-i w_n t},
-    so each bisection step is one exponential and one row sum.
+    so each bisection step is one exponential and one row sum.  A drive whose
+    t_ub overflows raises ValueError naming it.
     """
+    t_ub = np.array([2.0 * math.pi / max(2.0 * p.omega, abs(p.delta)) for p in drives])
+    for p, t in zip(drives, t_ub):
+        if not math.isfinite(t):
+            raise ValueError(f"the cyclic-time bracket 2*pi/max(2*omega, |delta|) overflows "
+                             f"for omega={p.omega}, delta={p.delta}")
     eigvals, eigvecs = _eigh_hermitian(
         np.stack([raw_error_hamiltonian(p, _NO_ERRORS) for p in drives])
     )
     bright = np.stack([_bright_ket(p) for p in drives])
     weights = eigvecs[:, 2, :] * np.sum(eigvecs.conj() * bright[:, :, None], axis=1)
     half_delta = 0.5j * np.array([p.delta for p in drives])
-    t_ub = np.array([2.0 * math.pi / max(2.0 * p.omega, abs(p.delta)) for p in drives])
 
     def signal(t: np.ndarray) -> np.ndarray:
         amp = np.sum(weights * np.exp(-1j * eigvals * t[:, None]), axis=-1)

@@ -46,14 +46,13 @@ def beta_from_temperature(temperature_k: float) -> float:
 class SpinBath:
     """Bath of ``n_spins`` spin-1/2 with level splitting ``alpha`` at inverse temperature ``beta``.
 
-    ``temperature_k`` is informational metadata retained by
-    :meth:`from_temperature`; the physics depends on beta only.
+    beta is the one temperature parameter; :attr:`temperature_k` is read
+    from it.  ``alpha`` and ``beta`` are stored as Python floats.
     """
 
     n_spins: int
     alpha: float
     beta: float
-    temperature_k: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "n_spins", require_count("n_spins", self.n_spins, 1))
@@ -61,15 +60,17 @@ class SpinBath:
             raise ValueError(f"level splitting alpha must be positive and finite, got {self.alpha}")
         if not self.beta >= 0.0:
             raise ValueError(f"beta must be non-negative, got {self.beta}")
+        for name in ("alpha", "beta"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
     @classmethod
     def from_temperature(cls, n_spins: int, alpha: float, temperature_k: float) -> "SpinBath":
-        return cls(
-            n_spins=n_spins,
-            alpha=alpha,
-            beta=beta_from_temperature(temperature_k),
-            temperature_k=temperature_k,
-        )
+        return cls(n_spins, alpha, beta_from_temperature(temperature_k))
+
+    @property
+    def temperature_k(self) -> float:
+        """Temperature 1/(k_B/hbar * beta) in Kelvin: inf at beta = 0 and 0 at beta = inf."""
+        return 1.0 / (KB_OVER_HBAR_NS_INV_PER_K * self.beta) if self.beta else math.inf
 
     @property
     def beta_alpha(self) -> float:

@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .channel import N_INPUT_STATES, _curve, build_channel
+from .channel import MAX_KERNEL_ELEMENTS, N_INPUT_STATES, _curve, build_channel
 from .error_model import ErrorParams
 from .lambda_system import LambdaParams, require_count, require_finite
 from .spin_bath import SpinBath
@@ -47,16 +47,11 @@ __all__ = [
     "reproduce",
     "ReproduceReport",
     "FIGURE_SPECS",
-    "MAX_GRID_POINTS",
 ]
 
 REFINE_TOL = 1e-4  # golden-section bracket width (ns^-1)
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
-# A sweep holds (grid, N+1) survival and (grid, n_states) fidelity arrays at
-# once, about 1.5 kB per point for a figure configuration, so 1e5 points peak
-# near 150 MB; a step of REFINE_TOL over the figure range [0, 8] is 80,001.
-MAX_GRID_POINTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -75,13 +70,13 @@ class GammaGrid:
             raise ValueError(
                 f"gamma grid is empty: stop {self.stop} lies below start {self.start}"
             )
+        # Each point is a kernel row, so the kernel's limit bounds the grid too.
         # Checked before values() allocates anything; the span may be inf.
         span = self._span()
-        if span >= MAX_GRID_POINTS:
+        if span >= MAX_KERNEL_ELEMENTS:
             points = math.floor(span) + 1 if math.isfinite(span) else span
-            raise ValueError(
-                f"gamma grid has {points} points, more than MAX_GRID_POINTS = {MAX_GRID_POINTS}"
-            )
+            raise ValueError(f"gamma grid has {points} points, "
+                             f"more than MAX_KERNEL_ELEMENTS = {MAX_KERNEL_ELEMENTS}")
 
     def _span(self) -> float:
         """Number of steps from start to stop, plus 1e-9 so a stop on the grid is kept."""
@@ -146,7 +141,7 @@ class SweepResult:
 
     def metadata_lines(self) -> list[str]:
         cfg = self.config
-        bath = cfg.bath
+        bath, grid = cfg.bath, cfg.grid
         lines = [
             f"tool: holobath {__version__}",
             f"omega_ns_inv: {_fmt(cfg.params.omega)}",
@@ -156,14 +151,11 @@ class SweepResult:
             f"n_spins: {bath.n_spins}",
             f"alpha_ns_inv: {_fmt(bath.alpha)}",
             f"beta_ns: {_fmt(bath.beta)}",
+            f"temperature_K: {_fmt(bath.temperature_k)}",
+            f"beta_alpha: {_fmt(bath.beta_alpha)}",
+            f"gamma_grid_ns_inv: {_fmt(grid.start)}:{_fmt(grid.stop)}:{_fmt(grid.step)}",
+            f"n_states: {cfg.n_states}",
         ]
-        if bath.temperature_k is not None:
-            lines.append(f"temperature_K: {_fmt(bath.temperature_k)}")
-        lines.append(f"beta_alpha: {_fmt(bath.beta_alpha)}")
-        lines.append(
-            f"gamma_grid_ns_inv: {_fmt(cfg.grid.start)}:{_fmt(cfg.grid.stop)}:{_fmt(cfg.grid.step)}"
-        )
-        lines.append(f"n_states: {cfg.n_states}")
         for label, e in zip(self.labels, cfg.error_settings):
             lines.append(
                 f"errors[{label}]: epsilon0={_fmt(e.epsilon0)} epsilon1={_fmt(e.epsilon1)} "

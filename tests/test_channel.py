@@ -32,7 +32,7 @@ from holobath.reference import (
     kraus_matrices,
 )
 from holobath.spin_bath import SpinBath, thermal_weights
-from holobath.sweep import FIGURE_GRID, MAX_GRID_POINTS
+from holobath.sweep import FIGURE_GRID, REFINE_TOL, GammaGrid
 
 
 def completeness_defect(ch):
@@ -527,6 +527,9 @@ class TestKernelSizeCap:
             build_channel(params, ErrorParams(), SpinBath(21, 15.0e3, 0.01), gammas)
 
     def test_largest_grid_fits_every_figure_configuration(self):
+        # A grid as fine as the refinement tolerance over the figure range;
         # N = 28 is the largest figure bath; 30 input states are the default.
-        assert MAX_GRID_POINTS * (28 + 1) <= MAX_KERNEL_ELEMENTS
-        assert MAX_GRID_POINTS * 30 <= MAX_KERNEL_ELEMENTS
+        points = GammaGrid(FIGURE_GRID.start, FIGURE_GRID.stop, REFINE_TOL).values().size
+        assert points == 80_001
+        assert points * (28 + 1) <= MAX_KERNEL_ELEMENTS
+        assert points * 30 <= MAX_KERNEL_ELEMENTS

@@ -18,7 +18,7 @@ from holobath.reference import (
     MAX_VALIDATION_CASES,
     run_validation_suite,
 )
-from holobath.spin_bath import SpinBath
+from holobath.spin_bath import KB_OVER_HBAR_NS_INV_PER_K, SpinBath
 from holobath.sweep import FIGURE_ALPHA_NS_INV, FIGURE_GRID, FIGURE_PARAMS, SweepConfig
 
 
@@ -300,6 +300,15 @@ class TestFidelityCommand:
         assert run_cli(["fidelity", f"{flag}={value}"]) == 0
         assert capsys.readouterr().out == spaced
 
+    @pytest.mark.parametrize("value", ["-inf", "-Infinity", "-NAN"])
+    def test_negative_infinity_and_nan_are_values_not_flags(self, capsys, value):
+        assert run_cli(["fidelity", "--gamma-ns-inv", value]) == 1
+        spaced = capsys.readouterr()
+        assert run_cli(["fidelity", f"--gamma-ns-inv={value}"]) == 1
+        assert capsys.readouterr() == spaced
+        assert spaced.out == "" and spaced.err.count("\n") == 1
+        assert spaced.err.startswith("error: the kernel phases are not finite at gamma=")
+
     def test_overflowing_drive_is_rejected_before_the_kernel(self, capsys):
         # No RuntimeWarning filter: the drive's gap is checked in LambdaParams.
         code = run_cli(["fidelity", "--omega-ns-inv", "1e308"])
@@ -354,6 +363,18 @@ class TestSweepCommand:
         assert out.exists()
         stdout = capsys.readouterr().out
         assert "wrote" in stdout and "grid optimum" in stdout
+
+    @pytest.mark.parametrize("beta, temperature", [
+        ("0.004", f"{1.0 / (KB_OVER_HBAR_NS_INV_PER_K * 0.004):.12g}"),
+        ("0", "inf"),
+        ("inf", "0"),
+    ])
+    def test_beta_csv_prints_the_temperature_it_implies(self, tmp_path, capsys, beta, temperature):
+        out = tmp_path / "sweep.csv"
+        assert run_cli(["sweep", "--beta-ns", beta, "--n-spins", "4", "--gamma-step-ns-inv", "1",
+                        "--output", str(out)]) == 0
+        meta = [line for line in out.read_text().splitlines() if line.startswith("#")]
+        assert meta[7:9] == [f"# beta_ns: {beta}", f"# temperature_K: {temperature}"]
 
     def test_close_settings_get_distinct_columns(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

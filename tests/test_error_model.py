@@ -86,6 +86,12 @@ class TestApplyErrors:
         assert named in message and repr(errors) in message
         assert "1.068e+308" not in message and "inf" not in message
 
+    @pytest.mark.filterwarnings("error")
+    def test_numpy_scalar_inputs_overflow_without_a_warning(self):
+        # NumPy scalar arithmetic warns on overflow; the dataclasses store floats.
+        with pytest.raises(ValueError, match="errored gap"):
+            apply_errors(LambdaParams(1.0, np.float64(1e300)), ErrorParams(kappa=np.float64(1e10)))
+
     @given(theta=thetas, phi=phis, eps0=epsilons, eps1=epsilons,
            zeta0=phases, zeta1=phases, kappa=kappas)
     @settings(max_examples=300, deadline=None)

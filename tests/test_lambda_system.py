@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from holobath.channel import InputState
 from holobath.error_model import ErrorParams
 from holobath.lambda_system import (
     LambdaParams,
@@ -15,6 +16,8 @@ from holobath.lambda_system import (
     ideal_gate,
 )
 from holobath.reference import expm_hermitian, raw_error_hamiltonian
+from holobath.spin_bath import SpinBath
+from holobath.sweep import GammaGrid
 
 from conftest import assert_unitary
 
@@ -42,6 +45,19 @@ def sub_hamiltonian(p, effective_detuning):
     h = raw_error_hamiltonian(p, ErrorParams())
     h[2, 2] = effective_detuning
     return h
+
+
+@pytest.mark.parametrize("make, names", [
+    (lambda x: LambdaParams(x, x, x, x), ("omega", "delta", "theta", "phi")),
+    (lambda x: ErrorParams(x, x, x, x, x), ("epsilon0", "epsilon1", "zeta0", "zeta1", "kappa")),
+    (lambda x: SpinBath(4, x, x), ("alpha", "beta")),
+    (lambda x: GammaGrid(x, x, x), ("start", "stop", "step")),
+    (lambda x: InputState(x, x), ("vartheta", "xi")),
+], ids=["LambdaParams", "ErrorParams", "SpinBath", "GammaGrid", "InputState"])
+def test_numpy_scalar_fields_are_stored_as_floats(make, names):
+    made = make(np.float64(0.5))
+    for name in names:
+        assert type(getattr(made, name)) is float and getattr(made, name) == 0.5
 
 
 class TestLambdaParams:

@@ -436,6 +436,13 @@ class TestFindCyclicTime:
         p = LambdaParams(omega=omega, delta=delta)
         assert abs(cyclic_times([p])[0] - p.tau0) < 1e-9
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_bracket_names_the_drive(self):
+        # t_ub = 2*pi/(2*omega) overflows, though the drive's gap fits in a float.
+        drives = [LambdaParams(omega=1.0, delta=2.0), LambdaParams(omega=4.9e-314, delta=0.0)]
+        with pytest.raises(ValueError, match=r"bracket .* overflows for omega=4.9e-314, delta=0.0"):
+            cyclic_times(drives)
+
     def test_one_eigendecomposition_per_stack(self, monkeypatch):
         drives = [LambdaParams(omega=0.3 * k, delta=1.0 - k) for k in range(1, 9)]
         counts = count_calls(monkeypatch, ("eigh",))

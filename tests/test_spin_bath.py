@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -37,6 +38,17 @@ class TestTemperatureConversion:
         bath = SpinBath.from_temperature(4, 100.0, 50.0)
         assert bath.temperature_k == 50.0
         assert bath.beta == pytest.approx(beta_from_temperature(50.0))
+
+    def test_bath_is_size_splitting_and_beta(self):
+        assert [f.name for f in dataclasses.fields(SpinBath)] == ["n_spins", "alpha", "beta"]
+
+    @pytest.mark.parametrize("temperature", [50.0, 300.0])
+    def test_temperature_is_read_back_from_beta(self, temperature):
+        assert SpinBath.from_temperature(4, 100.0, temperature).temperature_k == temperature
+
+    @pytest.mark.parametrize("beta, temperature", [(0.0, math.inf), (math.inf, 0.0)])
+    def test_temperature_limits(self, beta, temperature):
+        assert SpinBath(4, 100.0, beta).temperature_k == temperature
 
 
 class TestValidation:

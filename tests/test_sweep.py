@@ -130,10 +130,16 @@ class TestGammaGrid:
         assert peak < 100_000
 
     def test_size_cap_boundary(self):
-        cap = sweep_mod.MAX_GRID_POINTS
+        cap = channel_mod.MAX_KERNEL_ELEMENTS
         assert GammaGrid(0.0, cap - 1.0, 1.0).values().size == cap
-        with pytest.raises(ValueError, match="MAX_GRID_POINTS"):
-            GammaGrid(0.0, float(cap), 1.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"{cap + 1} points, more than MAX_KERNEL_ELEMENTS"):
+                GammaGrid(0.0, float(cap), 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
     def test_figure_grid_unaffected(self):
         np.testing.assert_array_equal(
