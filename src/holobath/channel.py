@@ -71,19 +71,21 @@ __all__ = [
 
 N_INPUT_STATES = 30  # vartheta points of the F_av average unless a caller asks for others
 # The one size limit: the largest kernel arrays are (len(gamma), N+1) in
-# build_channel, about 72 bytes per element at its peak, and (len(gamma),
-# n_states) in the fidelity kernel, about 25, and a gamma grid has one row per
-# point.  3e6 elements (near 220 MB) admit a grid as fine as the golden-section
-# tolerance over the figure range (80,001 points) with the largest figure
-# bath, N = 28, and N_INPUT_STATES input states.
+# build_channel, about 72 bytes per element at its peak, (len(gamma),
+# n_states) in the fidelity kernel, about 25, and the (n_states, 3) input kets,
+# about 67 (200 bytes per input state at one gamma); a gamma grid has one row
+# per point.  3e6 elements (near 220 MB) admit a grid as fine as the
+# golden-section tolerance over the figure range (80,001 points) with the
+# largest figure bath, N = 28, and N_INPUT_STATES input states, and at most
+# 1,000,000 input states (a 200 MB peak).
 MAX_KERNEL_ELEMENTS = 3_000_000
 
 
-def _require_kernel_size(n_gammas: int, width: int, axis: str) -> None:
-    """Reject a (n_gammas, width) kernel array before anything is allocated."""
-    if n_gammas * width > MAX_KERNEL_ELEMENTS:
+def _require_kernel_size(rows: int, rows_axis: str, width: int, axis: str) -> None:
+    """Reject a (rows, width) kernel array before anything is allocated."""
+    if rows * width > MAX_KERNEL_ELEMENTS:
         raise ValueError(
-            f"{n_gammas} gamma values x {width} {axis} is {n_gammas * width} kernel elements, "
+            f"{rows} {rows_axis} x {width} {axis} is {rows * width} kernel elements, "
             f"more than MAX_KERNEL_ELEMENTS = {MAX_KERNEL_ELEMENTS}"
         )
 
@@ -147,7 +149,7 @@ def build_channel(
     gammas = np.asarray(gamma, dtype=float)
     if gammas.ndim > 1:
         raise ValueError(f"gamma must be a scalar or a 1-D array, got shape {gammas.shape}")
-    _require_kernel_size(gammas.size, b.n_spins + 1, "bath levels")
+    _require_kernel_size(gammas.size, "gamma values", b.n_spins + 1, "bath levels")
     eff = apply_errors(p, e)
     # Plain floats, in the kernel's expressions and order, so no overflow warns.
     for g in (float(gammas.min(initial=0.0)), float(gammas.max(initial=0.0))):
@@ -236,7 +238,7 @@ class _ThetaRule(NamedTuple):
 def _theta_rule(n_states: int) -> _ThetaRule:
     """The rule over n_states nodes, built once per n_states."""
     n_states = require_count("n_states", n_states, 3)
-    _require_kernel_size(1, n_states, "input states")
+    _require_kernel_size(3, "ket components", n_states, "input states")
     nodes = np.arange(n_states) * (math.pi / (n_states - 1))
     weights = np.sin(nodes)
     weights[0] = 0.0
@@ -252,13 +254,15 @@ def fidelity_curve(ch: HolonomicChannel,
 
     The vartheta_k array is read-only.  For a gamma-array channel the values
     have shape (len(gamma), n_states).  ``n_states`` must be an integer of at
-    least 3, and a (len(gamma), n_states) table may hold at most
-    MAX_KERNEL_ELEMENTS values; both are checked before anything is computed.
+    least 3, and the (len(gamma), n_states) table and the (n_states, 3) input
+    kets may each hold at most MAX_KERNEL_ELEMENTS values; all are checked
+    before anything is computed.
     """
     # Count first: the cached rule would take 30.0 for 30 unchecked.
     n_states = require_count("n_states", n_states, 3)
     # survival holds one row of N+1 amplitudes per gamma
-    _require_kernel_size(ch.survival.size // ch.weights.size, n_states, "input states")
+    _require_kernel_size(ch.survival.size // ch.weights.size, "gamma values",
+                         n_states, "input states")
     varthetas = _theta_rule(n_states).nodes
     terms = ch._curve_terms  # only _curve attaches terms, on the n_states it asks for
     if terms is None:

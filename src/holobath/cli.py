@@ -41,6 +41,11 @@ from .sweep import (
 )
 
 
+# The error flags other than --eps-kappa, by config key; without "_rad" they
+# are the ErrorParams fields.
+_INDIVIDUAL_ERROR_KEYS = ("epsilon0", "epsilon1", "zeta0_rad", "zeta1_rad", "kappa")
+
+
 def _command_parsers(parser: argparse.ArgumentParser) -> dict:
     """The subcommand parsers of ``parser``, by command name."""
     (commands,) = (action for action in parser._actions if action.dest == "command")
@@ -52,8 +57,9 @@ def load_config_file(path: str) -> dict:
 
     The keys are the flags of ``sweep``, ``optimize`` and ``fidelity`` with
     underscores; each value takes its flag's type, and the repeatable
-    ``eps_kappa`` takes a comma-separated list.  The file is UTF-8, with or
-    without a byte-order mark.
+    ``eps_kappa`` takes a comma-separated list, which a file may not combine
+    with individual error keys.  The file is UTF-8, with or without a
+    byte-order mark.
     """
     commands = _command_parsers(_shared_parser())
     actions = {
@@ -89,6 +95,9 @@ def load_config_file(path: str) -> dict:
             raise ValueError(
                 f"{path}:{lineno}: cannot parse {key} value {raw!r}: {exc}"
             ) from exc
+    individual = [key for key in _INDIVIDUAL_ERROR_KEYS if key in out]
+    if individual and "eps_kappa" in out:
+        raise ValueError(f"{path}: eps_kappa cannot be combined with {', '.join(individual)}")
     return out
 
 
@@ -96,20 +105,25 @@ def parse_args(argv=None) -> argparse.Namespace:
     """Parse a command line, taking the options it leaves out from ``--config``.
 
     An explicit flag wins over the file, which wins over the parser default.
-    ``--eps-kappa`` appends to its default, so the file's list is applied
-    only when the command line has no ``--eps-kappa``: the flag replaces it.
+    The error setting has two forms, ``--eps-kappa`` and the individual
+    error flags.  Any error flag on the command line drops the file's
+    ``eps_kappa`` list (which ``--eps-kappa`` would otherwise append to), and
+    ``--eps-kappa`` drops the file's individual error keys as well; the
+    individual keys of the file and the command line merge key by key.
     """
     args = _shared_parser().parse_args(argv)
     if not getattr(args, "config", None):
         return args
     values = load_config_file(args.config)
-    eps_kappa = values.pop("eps_kappa", None)
+    if args.eps_kappa is not None or any(getattr(args, key) is not None
+                                         for key in _INDIVIDUAL_ERROR_KEYS):
+        values.pop("eps_kappa", None)
+    if args.eps_kappa is not None:
+        for key in _INDIVIDUAL_ERROR_KEYS:
+            values.pop(key, None)
     parser = build_parser()  # the file's defaults must not reach the shared parser
     _command_parsers(parser)[args.command].set_defaults(**values)
-    args = parser.parse_args(argv)
-    if args.eps_kappa is None:
-        args.eps_kappa = eps_kappa
-    return args
+    return parser.parse_args(argv)
 
 
 def build_params(args: argparse.Namespace) -> LambdaParams:
@@ -122,16 +136,13 @@ def build_params(args: argparse.Namespace) -> LambdaParams:
 
 
 def build_bath(args: argparse.Namespace) -> SpinBath:
-    alpha = args.alpha_ps_inv * 1000.0  # ps^-1 -> ns^-1
-    if args.beta_ns is not None:
-        return SpinBath(n_spins=args.n_spins, alpha=alpha, beta=args.beta_ns)
-    return SpinBath.from_temperature(args.n_spins, alpha, args.temperature_k)
+    # alpha: ps^-1 -> ns^-1
+    return SpinBath.from_temperature(args.n_spins, args.alpha_ps_inv * 1000.0, args.temperature_k)
 
 
 def build_error_settings(args: argparse.Namespace) -> tuple[ErrorParams, ...]:
-    individual = {"epsilon0": args.epsilon0, "epsilon1": args.epsilon1,
-                  "zeta0": args.zeta0_rad, "zeta1": args.zeta1_rad, "kappa": args.kappa}
-    given = {name: value for name, value in individual.items() if value is not None}
+    given = {key.removesuffix("_rad"): getattr(args, key) for key in _INDIVIDUAL_ERROR_KEYS
+             if getattr(args, key) is not None}
     if args.eps_kappa is not None:
         if given:
             raise ValueError("--eps-kappa cannot be combined with individual error flags")
@@ -166,9 +177,8 @@ def _add_physics_flags(parser: argparse.ArgumentParser, grid: bool = True) -> No
     group.add_argument("--alpha-ps-inv", type=float, default=FIGURE_ALPHA_NS_INV / 1000.0,
                        help="bath level splitting (ps^-1, default %(default)g)")
     group.add_argument("--temperature-k", type=float, default=figure.temperature_k,
-                       help="bath temperature (K, default %(default)g)")
-    group.add_argument("--beta-ns", type=float,
-                       help="inverse temperature (ns); overrides --temperature-k")
+                       help="bath temperature (K, default %(default)g); 0 is the ground "
+                            "state and inf the beta = 0 limit")
     group.add_argument("--n-states", type=int, default=N_INPUT_STATES,
                        help="input states in the fidelity average (default %(default)d)")
     errors = parser.add_argument_group("error settings")

@@ -36,10 +36,13 @@ KB_OVER_HBAR_NS_INV_PER_K = KB_JOULE_PER_K / HBAR_JOULE_S * 1e-9
 
 
 def beta_from_temperature(temperature_k: float) -> float:
-    """Inverse temperature beta (ns) for a temperature in Kelvin."""
-    if not temperature_k > 0.0:
-        raise ValueError(f"temperature must be positive, got {temperature_k} K")
-    return 1.0 / (KB_OVER_HBAR_NS_INV_PER_K * temperature_k)
+    """Inverse temperature beta (ns) for a temperature T >= 0 in Kelvin.
+
+    T = 0 (or -0.0) is the ground state, beta = inf, and T = inf is beta = 0.
+    """
+    if not temperature_k >= 0.0:
+        raise ValueError(f"temperature must be non-negative, got {temperature_k} K")
+    return 1.0 / (KB_OVER_HBAR_NS_INV_PER_K * temperature_k) if temperature_k else math.inf
 
 
 @dataclass(frozen=True)

@@ -514,6 +514,20 @@ class TestKernelSizeCap:
 
         assert traced_peak(evaluate) < 100_000
 
+    def test_input_kets_count_against_the_cap(self, params, bath50, monkeypatch):
+        # At one gamma the (n_states, 3) input kets outgrow the (1, n_states) table.
+        ch = build_channel(params, ErrorParams.symmetric(0.1), bath50, 2.8)
+        monkeypatch.setattr(channel_mod, "MAX_KERNEL_ELEMENTS", 3 * 997)
+        channel_mod._theta_rule.cache_clear()
+        assert fidelity_curve(ch, 997)[1].shape == (997,)
+
+        def evaluate():
+            with pytest.raises(ValueError,
+                               match="3 ket components x 998 input states.*MAX_KERNEL_ELEMENTS"):
+                fidelity_curve(ch, 998)
+
+        assert traced_peak(evaluate) < 100_000
+
     def test_cap_boundary(self, params, bath50, monkeypatch):
         gammas = FIGURE_GRID.values()
         monkeypatch.setattr(channel_mod, "MAX_KERNEL_ELEMENTS", gammas.size * 30)

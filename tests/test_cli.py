@@ -2,6 +2,7 @@ import inspect
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +19,7 @@ from holobath.reference import (
     MAX_VALIDATION_CASES,
     run_validation_suite,
 )
-from holobath.spin_bath import KB_OVER_HBAR_NS_INV_PER_K, SpinBath
+from holobath.spin_bath import SpinBath
 from holobath.sweep import FIGURE_ALPHA_NS_INV, FIGURE_GRID, FIGURE_PARAMS, SweepConfig
 
 
@@ -131,7 +132,6 @@ CONFIG_VALUES = [
     ("n_spins", "7", ("sweep", "optimize", "fidelity")),
     ("alpha_ps_inv", "12", ("sweep", "optimize", "fidelity")),
     ("temperature_k", "80", ("sweep", "optimize", "fidelity")),
-    ("beta_ns", "0.004", ("sweep", "optimize", "fidelity")),
     ("n_states", "12", ("sweep", "optimize", "fidelity")),
     ("eps_kappa", "0.125", ("sweep", "optimize", "fidelity")),
     ("epsilon0", "0.1", ("sweep", "optimize", "fidelity")),
@@ -179,6 +179,38 @@ class TestConfigPrecedence:
         header = [line for line in out.read_text().splitlines() if line.startswith("gamma")]
         assert header == ["gamma_ns_inv,f_av_eps_0.3"]
 
+    @pytest.mark.parametrize("text, flags, settings", [
+        ("eps_kappa = 0.1, 0.2", ["--kappa", "0.1"], (ErrorParams(kappa=0.1),)),
+        ("kappa = 0.2\nepsilon1 = 0.3", ["--eps-kappa", "0.1"], (ErrorParams.symmetric(0.1),)),
+        ("kappa = 0.2", ["--epsilon0", "0.1"], (ErrorParams(epsilon0=0.1, kappa=0.2),)),
+    ], ids=["error_flag_drops_file_list", "eps_kappa_drops_file_keys", "keys_merge"])
+    def test_error_setting_from_file_and_flags(self, tmp_path, text, flags, settings):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text + "\n")
+        args = cli.parse_args(["optimize", "--config", str(cfg), *flags])
+        assert cli.build_error_settings(args) == settings
+
+    def test_both_error_forms_in_one_file_are_an_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("kappa = 0.2\neps_kappa = 0.1\nzeta0_rad = 0.3\n")
+        assert run_cli(["optimize", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: eps_kappa cannot be combined with zeta0_rad, kappa\n")
+
+    def test_both_error_forms_on_one_command_line_are_an_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n_spins = 4\n")
+        assert run_cli(["optimize", "--config", str(cfg), "--eps-kappa", "0.1",
+                        "--kappa", "0.2"]) == 1
+        assert capsys.readouterr().err == (
+            "error: --eps-kappa cannot be combined with individual error flags\n")
+
+    def test_beta_key_is_unknown(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("beta_ns = 1\n")
+        assert run_cli(["fidelity", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}:1: unknown config key 'beta_ns'\n"
+
     def test_fidelity_accepts_grid_keys(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("gamma_start_ns_inv = 0\ngamma_stop_ns_inv = 8\n"
@@ -219,6 +251,14 @@ class TestFidelityCommand:
         assert "vartheta_rad,fidelity" in out
         assert "F_av (n=5)" in out
         assert "beta*alpha=2.291470" in out
+
+    @pytest.mark.parametrize("temperature", ["-1", "nan"])
+    def test_negative_or_nan_temperature_is_an_error(self, capsys, temperature):
+        assert run_cli(["fidelity", "--temperature-k", temperature]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: temperature must be non-negative, got {float(temperature)} K\n")
 
     def test_runs_the_fidelity_kernel_once(self, capsys, monkeypatch):
         # The average is taken from the printed table, not from a second run.
@@ -364,17 +404,18 @@ class TestSweepCommand:
         stdout = capsys.readouterr().out
         assert "wrote" in stdout and "grid optimum" in stdout
 
-    @pytest.mark.parametrize("beta, temperature", [
-        ("0.004", f"{1.0 / (KB_OVER_HBAR_NS_INV_PER_K * 0.004):.12g}"),
-        ("0", "inf"),
-        ("inf", "0"),
+    @pytest.mark.parametrize("temperature, beta, beta_alpha", [
+        ("0", "inf", "inf"),
+        ("inf", "0", "0"),
     ])
-    def test_beta_csv_prints_the_temperature_it_implies(self, tmp_path, capsys, beta, temperature):
+    def test_temperature_limits_in_the_csv(self, tmp_path, capsys, temperature, beta,
+                                           beta_alpha):
         out = tmp_path / "sweep.csv"
-        assert run_cli(["sweep", "--beta-ns", beta, "--n-spins", "4", "--gamma-step-ns-inv", "1",
-                        "--output", str(out)]) == 0
+        assert run_cli(["sweep", "--temperature-k", temperature, "--n-spins", "4",
+                        "--gamma-step-ns-inv", "1", "--output", str(out)]) == 0
         meta = [line for line in out.read_text().splitlines() if line.startswith("#")]
-        assert meta[7:9] == [f"# beta_ns: {beta}", f"# temperature_K: {temperature}"]
+        assert meta[7:10] == [f"# beta_ns: {beta}", f"# temperature_K: {temperature}",
+                              f"# beta_alpha: {beta_alpha}"]
 
     def test_close_settings_get_distinct_columns(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
@@ -667,6 +708,26 @@ class TestParser:
             run_cli(["--version"])
         assert excinfo.value.code == 0
         assert "holobath" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["sweep", "optimize", "fidelity"])
+    def test_temperature_has_one_flag(self, capsys, command):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli([command, "--beta-ns", "1"])
+        assert excinfo.value.code == 2
+
+
+def readme_commands() -> list[list[str]]:
+    """Every ``holobath`` command of the README's "Command line" block, as argv lists."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"\n## Command line\n\n```bash\n(.*?)```", readme, re.DOTALL)
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True) for line in lines if line.startswith("holobath ")]
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: " ".join(argv[1:3]))
+def test_readme_command_runs(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(argv[1:]) == 0
 
 
 class TestSharedParser:

@@ -29,10 +29,15 @@ class TestTemperatureConversion:
         beta = beta_from_temperature(300.0)
         assert beta * 15.0e3 == pytest.approx(0.381912, abs=1e-5)
 
-    def test_rejects_nonpositive_temperature(self):
-        for bad in (0.0, -10.0):
-            with pytest.raises(ValueError, match="temperature"):
-                beta_from_temperature(bad)
+    @pytest.mark.parametrize("temperature, beta", [(0.0, math.inf), (-0.0, math.inf),
+                                                   (math.inf, 0.0)])
+    def test_limits_are_states(self, temperature, beta):
+        assert beta_from_temperature(temperature) == beta
+
+    @pytest.mark.parametrize("bad", [-10.0, math.nan])
+    def test_rejects_negative_and_nan_temperature(self, bad):
+        with pytest.raises(ValueError, match="temperature must be non-negative"):
+            beta_from_temperature(bad)
 
     def test_from_temperature_keeps_metadata(self):
         bath = SpinBath.from_temperature(4, 100.0, 50.0)
@@ -42,7 +47,7 @@ class TestTemperatureConversion:
     def test_bath_is_size_splitting_and_beta(self):
         assert [f.name for f in dataclasses.fields(SpinBath)] == ["n_spins", "alpha", "beta"]
 
-    @pytest.mark.parametrize("temperature", [50.0, 300.0])
+    @pytest.mark.parametrize("temperature", [50.0, 300.0, 0.0])
     def test_temperature_is_read_back_from_beta(self, temperature):
         assert SpinBath.from_temperature(4, 100.0, temperature).temperature_k == temperature
 

@@ -18,7 +18,7 @@ import holobath.sweep as sweep_mod
 from holobath.channel import average_fidelity, build_channel
 from holobath.error_model import ErrorParams
 from holobath.lambda_system import LambdaParams
-from holobath.spin_bath import SpinBath
+from holobath.spin_bath import KB_OVER_HBAR_NS_INV_PER_K, SpinBath
 from holobath.sweep import (
     REFINE_TOL,
     CurveOptimum,
@@ -242,6 +242,12 @@ class TestRunSweep:
         assert len(rows) == 3
         assert set(rows[0]) == {"gamma_ns_inv", "f_av_eps_0.1", "f_av_eps_0.2"}
         assert float(rows[1]["gamma_ns_inv"]) == 0.5
+
+    def test_metadata_prints_the_temperature_beta_implies(self):
+        cfg = small_config(bath=SpinBath(4, 15.0e3, 0.004), grid=GammaGrid(0.0, 0.0, 1.0))
+        temperature = 1.0 / (KB_OVER_HBAR_NS_INV_PER_K * 0.004)
+        assert run_sweep(cfg).metadata_lines()[7:9] == [
+            "beta_ns: 0.004", f"temperature_K: {temperature:.12g}"]
 
     def test_twelve_significant_digits(self):
         result = run_sweep(small_config(grid=GammaGrid(0.0, 0.0, 1.0)))
