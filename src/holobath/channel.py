@@ -23,11 +23,11 @@ with <u> = sum_m p_m u_m and <|u|^2> = sum_m p_m |u_m|^2.  One kernel evaluates
 this for a scalar gamma or a whole gamma array, in two halves: the input-state
 terms |A|^2, A^* B and |B|^2, which depend on the drive, the errors and
 (vartheta, xi) but not on gamma, and the bath reduction <u>, <|u|^2> -> F.
-The public functions compose the two.  F_av averages F over the vartheta
-rule: n equidistant nodes vartheta_k = k*pi/(n-1) on the xi = 0 meridian, their
-sin weights with both endpoints zeroed, and the weights' sum, built once per n
-and cached read-only; the average of a table on the nodes is
-values @ weights / sum.  :func:`_curve` builds a sweep curve: it computes the
+The public functions compose the two.  F_av averages F over one vartheta
+rule, built read-only at import: N_INPUT_STATES = 30 equidistant nodes
+vartheta_k = k*pi/29 on the xi = 0 meridian, their sin weights with both
+endpoints zeroed, and the weights' sum; the average of a table on the nodes
+is values @ weights / sum.  :func:`_curve` builds a sweep curve: it computes the
 first half, the bath occupations and the ideal drive's gap delta0 once
 and returns F_av on the grid and an objective gamma -> F_av whose channels
 carry those terms, so each golden-section step computes only the survival
@@ -38,7 +38,6 @@ validate the kernel.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
@@ -51,7 +50,6 @@ from .lambda_system import (
     bright_dark_states,
     bright_survival_amplitude,
     ideal_gate,
-    require_count,
     require_finite,
     wrap_phase,
 )
@@ -69,15 +67,13 @@ __all__ = [
     "N_INPUT_STATES",
 ]
 
-N_INPUT_STATES = 30  # vartheta points of the F_av average unless a caller asks for others
+N_INPUT_STATES = 30  # vartheta nodes of the F_av average
 # The one size limit: the largest kernel arrays are (len(gamma), N+1) in
-# build_channel, about 72 bytes per element at its peak, (len(gamma),
-# n_states) in the fidelity kernel, about 25, and the (n_states, 3) input kets,
-# about 67 (200 bytes per input state at one gamma); a gamma grid has one row
+# build_channel, about 72 bytes per element at its peak, and (len(gamma),
+# N_INPUT_STATES) in the fidelity kernel, about 25; a gamma grid has one row
 # per point.  3e6 elements (near 220 MB) admit a grid as fine as the
 # golden-section tolerance over the figure range (80,001 points) with the
-# largest figure bath, N = 28, and N_INPUT_STATES input states, and at most
-# 1,000,000 input states (a 200 MB peak).
+# largest figure bath, N = 28.
 MAX_KERNEL_ELEMENTS = 3_000_000
 
 
@@ -222,11 +218,12 @@ def state_fidelity(ch: HolonomicChannel, s: InputState) -> float | np.ndarray:
 
 
 class _ThetaRule(NamedTuple):
-    """Read-only vartheta nodes k*pi/(n-1) (xi = 0), their sin weights and the weights' sum.
+    """The n = N_INPUT_STATES vartheta nodes k*pi/(n-1) (xi = 0), their sin weights, their sum.
 
-    The endpoint weights sin(0) and sin(pi) vanish analytically; they are
-    zeroed explicitly (float sin(pi) is ~1.2e-16) so the average over n
-    points equals the average over the n-2 interior points exactly.
+    Both arrays are read-only.  The endpoint weights sin(0) and sin(pi) vanish
+    analytically; they are zeroed explicitly (float sin(pi) is ~1.2e-16) so
+    the average over n points equals the average over the n-2 interior
+    points exactly.
     """
 
     nodes: np.ndarray
@@ -234,12 +231,8 @@ class _ThetaRule(NamedTuple):
     total: np.float64
 
 
-@functools.lru_cache(maxsize=4)
-def _theta_rule(n_states: int) -> _ThetaRule:
-    """The rule over n_states nodes, built once per n_states."""
-    n_states = require_count("n_states", n_states, 3)
-    _require_kernel_size(3, "ket components", n_states, "input states")
-    nodes = np.arange(n_states) * (math.pi / (n_states - 1))
+def _build_theta_rule() -> _ThetaRule:
+    nodes = np.arange(N_INPUT_STATES) * (math.pi / (N_INPUT_STATES - 1))
     weights = np.sin(nodes)
     weights[0] = 0.0
     weights[-1] = 0.0
@@ -248,47 +241,44 @@ def _theta_rule(n_states: int) -> _ThetaRule:
     return _ThetaRule(nodes, weights, np.sum(weights))
 
 
-def fidelity_curve(ch: HolonomicChannel,
-                   n_states: int = N_INPUT_STATES) -> tuple[np.ndarray, np.ndarray]:
-    """(vartheta_k, F(vartheta_k)) over the equidistant input-state grid (xi = 0).
+_THETA_RULE = _build_theta_rule()  # the one rule of every F_av
+
+
+def fidelity_curve(ch: HolonomicChannel) -> tuple[np.ndarray, np.ndarray]:
+    """(vartheta_k, F(vartheta_k)) over the N_INPUT_STATES rule nodes (xi = 0).
 
     The vartheta_k array is read-only.  For a gamma-array channel the values
-    have shape (len(gamma), n_states).  ``n_states`` must be an integer of at
-    least 3, and the (len(gamma), n_states) table and the (n_states, 3) input
-    kets may each hold at most MAX_KERNEL_ELEMENTS values; all are checked
-    before anything is computed.
+    have shape (len(gamma), N_INPUT_STATES), a table that may hold at most
+    MAX_KERNEL_ELEMENTS values, checked before anything is computed.
     """
-    # Count first: the cached rule would take 30.0 for 30 unchecked.
-    n_states = require_count("n_states", n_states, 3)
     # survival holds one row of N+1 amplitudes per gamma
     _require_kernel_size(ch.survival.size // ch.weights.size, "gamma values",
-                         n_states, "input states")
-    varthetas = _theta_rule(n_states).nodes
-    terms = ch._curve_terms  # only _curve attaches terms, on the n_states it asks for
+                         N_INPUT_STATES, "input states")
+    terms = ch._curve_terms  # only _curve attaches terms
     if terms is None:
-        terms = _input_terms(ch.params, ch.effective, varthetas)
-    return varthetas, _bath_fidelity(terms, ch.weights, ch.survival)
+        terms = _input_terms(ch.params, ch.effective, _THETA_RULE.nodes)
+    return _THETA_RULE.nodes, _bath_fidelity(terms, ch.weights, ch.survival)
 
 
 def curve_average(values: np.ndarray) -> float | np.ndarray:
     """sin-weighted average of a :func:`fidelity_curve` table over its last axis.
 
-    A float for a 1-D table, one average per row otherwise.
+    The last axis holds the N_INPUT_STATES rule nodes.  A float for a 1-D
+    table, one average per row otherwise.
     """
-    rule = _theta_rule(values.shape[-1])
-    averages = values @ rule.weights / rule.total
+    averages = values @ _THETA_RULE.weights / _THETA_RULE.total
     return float(averages) if averages.ndim == 0 else averages
 
 
-def average_fidelity(ch: HolonomicChannel, n_states: int = N_INPUT_STATES) -> float | np.ndarray:
-    """sin-weighted average of F over n_states equidistant vartheta values.
+def average_fidelity(ch: HolonomicChannel) -> float | np.ndarray:
+    """sin-weighted average of F over the N_INPUT_STATES equidistant vartheta nodes.
 
     A float for a scalar-gamma channel, one average per gamma otherwise.
     """
-    return curve_average(fidelity_curve(ch, n_states)[1])
+    return curve_average(fidelity_curve(ch)[1])
 
 
-def _curve(ch: HolonomicChannel, n_states: int):
+def _curve(ch: HolonomicChannel):
     """(F_av over ch's gamma grid, objective gamma -> F_av at ch's drive, errors and bath).
 
     The curve's input-state terms are computed once, read-only.  Both results
@@ -297,17 +287,16 @@ def _curve(ch: HolonomicChannel, n_states: int):
     objective call on a channel of ch's effective drive and thermal weights.
     A call checks nothing, as its gammas lie in a grid bracket that
     ``build_channel`` checked, and computes only the survival amplitudes,
-    the bath reduction and the cached rule's average.  The
-    objective equals ``average_fidelity(build_channel(p, e, ch.bath, gamma),
-    n_states)`` bit for bit and keeps ch's survival array alive no longer
-    than ch.
+    the bath reduction and the rule's average.  The objective equals
+    ``average_fidelity(build_channel(p, e, ch.bath, gamma))`` bit for bit and
+    keeps ch's survival array alive no longer than ch.
     """
-    terms = _input_terms(ch.params, ch.effective, _theta_rule(n_states).nodes)
+    terms = _input_terms(ch.params, ch.effective, _THETA_RULE.nodes)
     for array in terms:
         array.flags.writeable = False
     make = _channel_maker(ch.params, ch.effective, ch.bath, ch.weights, terms)
 
     def f_av(gamma: float | np.ndarray) -> float | np.ndarray:
-        return average_fidelity(make(np.asarray(gamma, dtype=float)), n_states)
+        return average_fidelity(make(np.asarray(gamma, dtype=float)))
 
-    return average_fidelity(replace(ch, _curve_terms=terms), n_states), f_av
+    return average_fidelity(replace(ch, _curve_terms=terms)), f_av

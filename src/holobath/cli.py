@@ -58,8 +58,8 @@ def load_config_file(path: str) -> dict:
     The keys are the flags of ``sweep``, ``optimize`` and ``fidelity`` with
     underscores; each value takes its flag's type, and the repeatable
     ``eps_kappa`` takes a comma-separated list, which a file may not combine
-    with individual error keys.  The file is UTF-8, with or without a
-    byte-order mark.
+    with individual error keys.  A key may appear once.  The file is UTF-8,
+    with or without a byte-order mark.
     """
     commands = _command_parsers(_shared_parser())
     actions = {
@@ -83,6 +83,8 @@ def load_config_file(path: str) -> dict:
         action = actions.get(key)
         if action is None:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in out:
+            raise ValueError(f"{path}:{lineno}: config key {key!r} is set twice")
         convert = action.type or str
         try:
             if isinstance(action, argparse._AppendAction):
@@ -156,7 +158,6 @@ def build_sweep_config(args: argparse.Namespace) -> SweepConfig:
         error_settings=build_error_settings(args),
         bath=build_bath(args),
         grid=GammaGrid(args.gamma_start_ns_inv, args.gamma_stop_ns_inv, args.gamma_step_ns_inv),
-        n_states=args.n_states,
     )
 
 
@@ -179,8 +180,6 @@ def _add_physics_flags(parser: argparse.ArgumentParser, grid: bool = True) -> No
     group.add_argument("--temperature-k", type=float, default=figure.temperature_k,
                        help="bath temperature (K, default %(default)g); 0 is the ground "
                             "state and inf the beta = 0 limit")
-    group.add_argument("--n-states", type=int, default=N_INPUT_STATES,
-                       help="input states in the fidelity average (default %(default)d)")
     errors = parser.add_argument_group("error settings")
     errors.add_argument("--eps-kappa", type=float, action="append", metavar="VALUE",
                         help="symmetric setting epsilon0=epsilon1=kappa=VALUE; repeatable "
@@ -292,7 +291,7 @@ def cmd_fidelity(args) -> int:
         raise ValueError("fidelity evaluates a single error setting; pass --eps-kappa once")
     ch = build_channel(params, settings[0], bath, args.gamma_ns_inv)
     # Evaluate before printing, so a rejected input leaves stdout empty.
-    varthetas, values = fidelity_curve(ch, args.n_states)
+    varthetas, values = fidelity_curve(ch)
     eff = ch.effective
     print(f"tau0_ns = {params.tau0:.9f}   chi_rad = {params.chi:.9f}")
     print(
@@ -305,7 +304,7 @@ def cmd_fidelity(args) -> int:
     print("vartheta_rad,fidelity")
     for vartheta, value in zip(varthetas, values):
         print(f"{vartheta:.6f},{value:.12f}")
-    print(f"F_av (n={args.n_states}) = {curve_average(values):.12f}")
+    print(f"F_av (n={N_INPUT_STATES}) = {curve_average(values):.12f}")
     return 0
 
 

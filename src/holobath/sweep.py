@@ -5,8 +5,8 @@ more error settings.  One ``channel._curve`` call per setting, on one channel
 over the whole grid, returns the curve and its objective gamma -> F_av: the
 effective drive, the thermal weights, the input-state terms, the bath
 occupations and the ideal drive's gap delta0 are computed once per curve,
-and the vartheta rule of the average once per n_states, so every
-golden-section step recomputes only the survival amplitudes, the bath
+and the average uses the one vartheta rule of :mod:`holobath.channel`, so
+every golden-section step recomputes only the survival amplitudes, the bath
 reduction and the rule's average.  Values are formatted to 12
 significant digits from Python floats, one list per column, which makes the
 emitted CSV byte-identical for identical configurations.
@@ -32,7 +32,7 @@ import numpy as np
 from . import __version__
 from .channel import MAX_KERNEL_ELEMENTS, N_INPUT_STATES, _curve, build_channel
 from .error_model import ErrorParams
-from .lambda_system import LambdaParams, require_count, require_finite
+from .lambda_system import LambdaParams, require_finite
 from .spin_bath import SpinBath
 
 __all__ = [
@@ -95,12 +95,10 @@ class SweepConfig:
     error_settings: tuple[ErrorParams, ...]
     bath: SpinBath
     grid: GammaGrid
-    n_states: int = N_INPUT_STATES
 
     def __post_init__(self):
         if not self.error_settings:
             raise ValueError("at least one error setting is required")
-        object.__setattr__(self, "n_states", require_count("n_states", self.n_states, 3))
         labels = self.labels()
         for label in labels:
             if labels.count(label) > 1:
@@ -154,7 +152,7 @@ class SweepResult:
             f"temperature_K: {_fmt(bath.temperature_k)}",
             f"beta_alpha: {_fmt(bath.beta_alpha)}",
             f"gamma_grid_ns_inv: {_fmt(grid.start)}:{_fmt(grid.stop)}:{_fmt(grid.step)}",
-            f"n_states: {cfg.n_states}",
+            f"n_states: {N_INPUT_STATES}",
         ]
         for label, e in zip(self.labels, cfg.error_settings):
             lines.append(
@@ -217,7 +215,7 @@ def _sweep(cfg: SweepConfig) -> tuple[SweepResult, list[Callable]]:
     labels = cfg.labels()
     curves, objectives = [], []
     for errors in cfg.error_settings:
-        values, f = _curve(build_channel(cfg.params, errors, cfg.bath, gammas), cfg.n_states)
+        values, f = _curve(build_channel(cfg.params, errors, cfg.bath, gammas))
         curves.append(values)
         objectives.append(f)
     result = SweepResult(

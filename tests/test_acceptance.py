@@ -63,7 +63,7 @@ def test_criterion_2_zero_error_zero_coupling_identity():
     worst = 0.0
     for n_spins, temperature in ((1, 10.0), (20, 50.0), (20, 300.0), (48, 1000.0)):
         ch = build_channel(PARAMS, ErrorParams(), bath(n_spins, temperature), 0.0)
-        worst = max(worst, abs(average_fidelity(ch, 30) - 1.0))
+        worst = max(worst, abs(average_fidelity(ch) - 1.0))
     report(worst < 1e-12, "criterion 2 (zero-error, zero-coupling identity)",
            f"max |F_av - 1| = {worst:.2e} over (N, T) combinations (tol 1e-12)")
 
@@ -71,7 +71,7 @@ def test_criterion_2_zero_error_zero_coupling_identity():
 def test_criterion_3_bath_free_error_baseline():
     start = time.perf_counter()
     values = [
-        average_fidelity(build_channel(PARAMS, ErrorParams.symmetric(e), bath(20, 50.0), 0.0), 30)
+        average_fidelity(build_channel(PARAMS, ErrorParams.symmetric(e), bath(20, 50.0), 0.0))
         for e in EPS_VALUES
     ]
     elapsed = time.perf_counter() - start
@@ -210,7 +210,7 @@ def test_criterion_8_fidelity_paths_and_symmetries():
             for gamma in (0.0, 1.4, 2.8, 5.0):
                 ch = build_channel(PARAMS, ErrorParams.symmetric(eps), b, gamma)
                 kraus = kraus_matrices(ch)
-                varthetas, analytic = fidelity_curve(ch, 30)
+                varthetas, analytic = fidelity_curve(ch)
                 direct = np.array([kraus_fidelity(ch, kraus, InputState(v)) for v in varthetas])
                 worst_agreement = max(worst_agreement, np.max(np.abs(analytic - direct)))
                 for vartheta in (0.9, 2.2):

@@ -12,6 +12,7 @@ import holobath.channel as channel_mod
 from holobath import reference
 from holobath.channel import (
     MAX_KERNEL_ELEMENTS,
+    N_INPUT_STATES,
     InputState,
     _bath_fidelity,
     _channel_maker,
@@ -344,7 +345,7 @@ class TestStateFidelity:
         ch = build_channel(p, e, bath, gamma)
         value = state_fidelity(ch, state)
         assert 0.0 <= value <= 1.0  # also false for NaN
-        _, curve = fidelity_curve(ch, 7)
+        _, curve = fidelity_curve(ch)
         assert np.all((curve >= 0.0) & (curve <= 1.0))
 
     @given(case=channel_cases(), shift=st.floats(-math.pi, math.pi))
@@ -361,27 +362,21 @@ class TestStateFidelity:
         p, e, bath, _, state = case
         ch = build_channel(p, e, bath, np.array(gammas))
         states = state_fidelity(ch, state)
-        averages = average_fidelity(ch, 9)
+        averages = average_fidelity(ch)
         assert states.shape == averages.shape == (len(gammas),)
         for gamma, value, average in zip(gammas, states, averages):
             single = build_channel(p, e, bath, gamma)
             assert abs(value - state_fidelity(single, state)) < 1e-14
-            assert abs(average - average_fidelity(single, 9)) < 1e-14
+            assert abs(average - average_fidelity(single)) < 1e-14
 
 
 class TestAverageFidelity:
     def test_identity_channel(self, params, bath50):
         ch = build_channel(params, ErrorParams(), bath50, 0.0)
-        assert average_fidelity(ch, 30) == pytest.approx(1.0, abs=1e-12)
-
-    def test_rejects_small_grids(self, params, bath50):
-        ch = build_channel(params, ErrorParams(), bath50, 0.0)
-        for n in (0, 1, 2):
-            with pytest.raises(ValueError, match="3"):
-                average_fidelity(ch, n)
+        assert average_fidelity(ch) == pytest.approx(1.0, abs=1e-12)
 
     def test_vartheta_grid_shape(self, params, bath50):
-        grid = fidelity_curve(build_channel(params, ErrorParams(), bath50, 0.0), 30)[0]
+        grid = fidelity_curve(build_channel(params, ErrorParams(), bath50, 0.0))[0]
         assert grid.size == 30
         assert grid[0] == 0.0
         assert grid[-1] == pytest.approx(math.pi, rel=1e-15)
@@ -390,11 +385,10 @@ class TestAverageFidelity:
         # sin(0) = sin(pi) = 0 analytically, so the n-point average equals the
         # average over the n-2 interior points.
         ch = build_channel(params, ErrorParams.symmetric(0.2), bath50, 2.8)
-        n = 30
-        varthetas, values = fidelity_curve(ch, n)
+        varthetas, values = fidelity_curve(ch)
         weights = np.sin(varthetas[1:-1])
         interior = float(np.dot(weights, values[1:-1]) / weights.sum())
-        assert average_fidelity(ch, n) == pytest.approx(interior, rel=1e-14, abs=0.0)
+        assert average_fidelity(ch) == pytest.approx(interior, rel=1e-14, abs=0.0)
 
     def test_bath_free_baseline_regression(self, params, bath50):
         # frozen values; the quoted span [95.5%, 98.6%] is asserted in the
@@ -402,11 +396,11 @@ class TestAverageFidelity:
         expected = {0.1: 0.987916455544, 0.15: 0.973523373314, 0.2: 0.954694638719}
         for eps, value in expected.items():
             ch = build_channel(params, ErrorParams.symmetric(eps), bath50, 0.0)
-            assert average_fidelity(ch, 30) == pytest.approx(value, abs=1e-9)
+            assert average_fidelity(ch) == pytest.approx(value, abs=1e-9)
 
     def test_figure_operating_point_regression(self, params, bath50):
         ch = build_channel(params, ErrorParams.symmetric(0.1), bath50, 2.8)
-        assert average_fidelity(ch, 30) == pytest.approx(0.974333639507, abs=1e-9)
+        assert average_fidelity(ch) == pytest.approx(0.974333639507, abs=1e-9)
 
     def test_direct_method_agrees_with_analytic(self, params, bath50):
         # the kernel average against the same sin-weighted average of the
@@ -417,11 +411,11 @@ class TestAverageFidelity:
         dense = np.array([kraus_fidelity(ch, kraus, InputState(float(v))) for v in varthetas])
         weights = np.sin(varthetas)
         weights[0] = weights[-1] = 0.0
-        assert abs(average_fidelity(ch, 30) - np.dot(weights, dense) / weights.sum()) < 1e-12
+        assert abs(average_fidelity(ch) - np.dot(weights, dense) / weights.sum()) < 1e-12
 
 
 def legacy_rule(n):
-    """The vartheta grid and sin-weight reduction as written before the cached rule."""
+    """The vartheta grid and sin-weight reduction as written before the one rule object."""
     varthetas = np.arange(n) * (math.pi / (n - 1))
     weights = np.sin(varthetas)
     weights[0] = 0.0
@@ -430,14 +424,13 @@ def legacy_rule(n):
 
 
 class TestThetaRule:
-    @pytest.mark.parametrize("n", [3, 30, 31, 257])
-    def test_average_equals_the_legacy_reduction_bit_for_bit(self, params, bath50, n):
-        varthetas, legacy = legacy_rule(n)
-        assert np.array_equal(channel_mod._theta_rule(n).nodes, varthetas)
-        rng = np.random.default_rng(n)
+    def test_average_equals_the_legacy_reduction_bit_for_bit(self, params, bath50):
+        varthetas, legacy = legacy_rule(30)
+        assert np.array_equal(channel_mod._THETA_RULE.nodes, varthetas)
+        rng = np.random.default_rng(30)
         ch = build_channel(params, ErrorParams(0.2, 0.15, 0.3, 0.0, 0.18), bath50,
                            np.linspace(0.0, 8.0, 17))
-        tables = [rng.random(n), rng.random((17, n)), fidelity_curve(ch, n)[1]]
+        tables = [rng.random(30), rng.random((17, 30)), fidelity_curve(ch)[1]]
         tables.append(tables[-1][5])
         for values in tables:
             expected = legacy(values)
@@ -446,30 +439,20 @@ class TestThetaRule:
                 assert type(averaged) is float and averaged == float(expected)
             else:
                 assert np.array_equal(averaged, expected)
-        assert np.array_equal(average_fidelity(ch, n), legacy(fidelity_curve(ch, n)[1]))
-
-    def test_table_needs_three_nodes(self):
-        for n in (1, 2):
-            with pytest.raises(ValueError, match="n_states must be an integer of at least 3"):
-                curve_average(np.ones((4, n)))
+        assert np.array_equal(average_fidelity(ch), legacy(fidelity_curve(ch)[1]))
 
     def test_arrays_are_read_only(self, params, bath50):
-        rule = channel_mod._theta_rule(30)
-        varthetas = fidelity_curve(build_channel(params, ErrorParams(), bath50, 0.0), 30)[0]
-        for array in (rule.nodes, rule.weights, varthetas):
+        rule = channel_mod._THETA_RULE
+        varthetas = fidelity_curve(build_channel(params, ErrorParams(), bath50, 0.0))[0]
+        assert varthetas is rule.nodes
+        for array in (rule.nodes, rule.weights):
             with pytest.raises(ValueError, match="read-only"):
                 array[1] = 0.0
 
-    def test_oversized_rule_rejected_before_allocating(self, params, bath50):
-        # An empty gamma grid makes a (gamma, n_states) check pass at any n_states.
-        ch = build_channel(params, ErrorParams(), bath50, np.zeros(0))
-
-        def evaluate():
-            for call in (fidelity_curve, average_fidelity):
-                with pytest.raises(ValueError, match="x 100000000 input states"):
-                    call(ch, 100_000_000)
-
-        assert traced_peak(evaluate) < 100_000
+    def test_table_needs_one_column_per_node(self):
+        for n in (2, 29, 31):
+            with pytest.raises(ValueError):
+                curve_average(np.ones((4, n)))
 
 
 def traced_peak(fn) -> int:
@@ -484,17 +467,6 @@ def traced_peak(fn) -> int:
 
 
 class TestKernelSizeCap:
-    @pytest.mark.parametrize("bad", [3.5, 30.5, True, "30", None])
-    def test_state_count_must_be_an_integer(self, params, bath50, bad):
-        ch = build_channel(params, ErrorParams(), bath50, 0.0)
-        for call in (fidelity_curve, average_fidelity):
-            with pytest.raises(ValueError, match="n_states"):
-                call(ch, bad)
-
-    def test_numpy_state_count_is_accepted(self, params, bath50):
-        ch = build_channel(params, ErrorParams.symmetric(0.1), bath50, 2.8)
-        assert average_fidelity(ch, np.int64(30)) == average_fidelity(ch, 30)
-
     def test_oversized_bath_rejected_before_allocating(self, params):
         bath = SpinBath(n_spins=100_000_000, alpha=15.0e3, beta=0.01)
 
@@ -504,27 +476,16 @@ class TestKernelSizeCap:
 
         assert traced_peak(build) < 100_000
 
-    def test_oversized_state_grid_rejected_before_allocating(self, params, bath50):
-        ch = build_channel(params, ErrorParams.symmetric(0.1), bath50, FIGURE_GRID.values())
+    def test_oversized_state_grid_rejected_before_allocating(self, params, bath50, monkeypatch):
+        # Below N = 29 the (gamma, input states) table outgrows the (gamma, N+1) survival.
+        gammas = FIGURE_GRID.values()
+        monkeypatch.setattr(channel_mod, "MAX_KERNEL_ELEMENTS", gammas.size * 29)
+        ch = build_channel(params, ErrorParams.symmetric(0.1), bath50, gammas)
 
         def evaluate():
             for call in (fidelity_curve, average_fidelity):
-                with pytest.raises(ValueError, match="161 gamma values x 100000000 input states"):
-                    call(ch, 100_000_000)
-
-        assert traced_peak(evaluate) < 100_000
-
-    def test_input_kets_count_against_the_cap(self, params, bath50, monkeypatch):
-        # At one gamma the (n_states, 3) input kets outgrow the (1, n_states) table.
-        ch = build_channel(params, ErrorParams.symmetric(0.1), bath50, 2.8)
-        monkeypatch.setattr(channel_mod, "MAX_KERNEL_ELEMENTS", 3 * 997)
-        channel_mod._theta_rule.cache_clear()
-        assert fidelity_curve(ch, 997)[1].shape == (997,)
-
-        def evaluate():
-            with pytest.raises(ValueError,
-                               match="3 ket components x 998 input states.*MAX_KERNEL_ELEMENTS"):
-                fidelity_curve(ch, 998)
+                with pytest.raises(ValueError, match="161 gamma values x 30 input states"):
+                    call(ch)
 
         assert traced_peak(evaluate) < 100_000
 
@@ -532,9 +493,10 @@ class TestKernelSizeCap:
         gammas = FIGURE_GRID.values()
         monkeypatch.setattr(channel_mod, "MAX_KERNEL_ELEMENTS", gammas.size * 30)
         ch = build_channel(params, ErrorParams.symmetric(0.1), bath50, gammas)
-        assert average_fidelity(ch, 30).shape == gammas.shape
+        assert average_fidelity(ch).shape == gammas.shape
+        monkeypatch.setattr(channel_mod, "MAX_KERNEL_ELEMENTS", gammas.size * 30 - 1)
         with pytest.raises(ValueError, match="MAX_KERNEL_ELEMENTS"):
-            average_fidelity(ch, 31)
+            average_fidelity(ch)
         monkeypatch.setattr(channel_mod, "MAX_KERNEL_ELEMENTS", gammas.size * 21)
         assert build_channel(params, ErrorParams(), bath50, gammas).survival.shape == (161, 21)
         with pytest.raises(ValueError, match="MAX_KERNEL_ELEMENTS"):
@@ -542,8 +504,8 @@ class TestKernelSizeCap:
 
     def test_largest_grid_fits_every_figure_configuration(self):
         # A grid as fine as the refinement tolerance over the figure range;
-        # N = 28 is the largest figure bath; 30 input states are the default.
+        # N = 28 is the largest figure bath; the average has 30 input states.
         points = GammaGrid(FIGURE_GRID.start, FIGURE_GRID.stop, REFINE_TOL).values().size
         assert points == 80_001
         assert points * (28 + 1) <= MAX_KERNEL_ELEMENTS
-        assert points * 30 <= MAX_KERNEL_ELEMENTS
+        assert points * N_INPUT_STATES <= MAX_KERNEL_ELEMENTS

@@ -75,6 +75,20 @@ class TestConfigFile:
             assert captured.out == ""
             assert captured.err.startswith(f"error: {path}:2: ") and "eps_kappa" in captured.err
 
+    @pytest.mark.parametrize("key, first, second", [("eps_kappa", "0.1", "0.2"),
+                                                    ("n_spins", "4", "6")])
+    def test_repeated_key_rejected(self, tmp_path, capsys, key, first, second):
+        # Two --eps-kappa flags run two curves; a file must not keep only the last line.
+        path = tmp_path / "twice.cfg"
+        path.write_text(f"{key} = {first}\ngamma_step_ns_inv = 4\n{key} = {second}\n")
+        message = f"{path}:3: config key {key!r} is set twice"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cli.load_config_file(str(path))
+        assert run_cli(["optimize", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path, capsys):
         # Editors on some platforms save UTF-8 with a leading byte-order mark.
         plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
@@ -84,9 +98,9 @@ class TestConfigFile:
         assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
         assert cli.load_config_file(str(marked)) == cli.load_config_file(str(plain))
         assert cli.load_config_file(str(marked))["omega_ns_inv"] == 1.5
-        assert run_cli(["optimize", "--config", str(marked), "--n-states", "5"]) == 0
+        assert run_cli(["optimize", "--config", str(marked)]) == 0
         from_marked = capsys.readouterr().out
-        assert run_cli(["optimize", "--config", str(plain), "--n-states", "5"]) == 0
+        assert run_cli(["optimize", "--config", str(plain)]) == 0
         assert capsys.readouterr().out == from_marked
 
     def test_undecodable_file_is_named(self, tmp_path, capsys):
@@ -132,7 +146,6 @@ CONFIG_VALUES = [
     ("n_spins", "7", ("sweep", "optimize", "fidelity")),
     ("alpha_ps_inv", "12", ("sweep", "optimize", "fidelity")),
     ("temperature_k", "80", ("sweep", "optimize", "fidelity")),
-    ("n_states", "12", ("sweep", "optimize", "fidelity")),
     ("eps_kappa", "0.125", ("sweep", "optimize", "fidelity")),
     ("epsilon0", "0.1", ("sweep", "optimize", "fidelity")),
     ("epsilon1", "0.2", ("sweep", "optimize", "fidelity")),
@@ -211,12 +224,21 @@ class TestConfigPrecedence:
         assert run_cli(["fidelity", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err == f"error: {cfg}:1: unknown config key 'beta_ns'\n"
 
+    def test_state_count_key_is_unknown(self, tmp_path, capsys):
+        # F_av always averages over the one 30-node rule.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n_spins = 4\nn_states = 5\n")
+        assert run_cli(["fidelity", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {cfg}:2: unknown config key 'n_states'\n"
+
     def test_fidelity_accepts_grid_keys(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("gamma_start_ns_inv = 0\ngamma_stop_ns_inv = 8\n"
-                       "gamma_step_ns_inv = 0.05\nn_states = 4\n")
+                       "gamma_step_ns_inv = 0.05\n")
         assert run_cli(["fidelity", "--config", str(cfg)]) == 0
-        assert "F_av (n=4) = 1.000000000000" in capsys.readouterr().out
+        assert "F_av (n=30) = 1.000000000000" in capsys.readouterr().out
 
     def test_optimize_accepts_output(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -242,14 +264,12 @@ class TestConfigPrecedence:
 
 class TestFidelityCommand:
     def test_prints_table_and_average(self, capsys):
-        code = run_cli(
-            ["fidelity", "--eps-kappa", "0.1", "--gamma-ns-inv", "2.8", "--n-states", "5"]
-        )
+        code = run_cli(["fidelity", "--eps-kappa", "0.1", "--gamma-ns-inv", "2.8"])
         out = capsys.readouterr().out
         assert code == 0
         assert "tau0_ns = 2.221441469" in out
-        assert "vartheta_rad,fidelity" in out
-        assert "F_av (n=5)" in out
+        table = out.split("vartheta_rad,fidelity\n")[1].splitlines()
+        assert len(table) == 31 and table[-1] == "F_av (n=30) = 0.974333639507"
         assert "beta*alpha=2.291470" in out
 
     @pytest.mark.parametrize("temperature", ["-1", "nan"])
@@ -289,10 +309,10 @@ class TestFidelityCommand:
         assert expected in capsys.readouterr().out.splitlines()
 
     def test_zero_coupling_zero_errors_is_unity(self, capsys):
-        code = run_cli(["fidelity", "--n-states", "4"])
+        code = run_cli(["fidelity"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "F_av (n=4) = 1.000000000000" in out
+        assert "F_av (n=30) = 1.000000000000" in out
 
     def test_invalid_physics_fails_cleanly(self, capsys):
         code = run_cli(["fidelity", "--omega-ns-inv", "-1"])
@@ -375,14 +395,14 @@ class TestFidelityCommand:
         assert code == 1
         assert "single error setting" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("n_states, reason", [("2", "n_states"),
-                                                  ("100000000", "MAX_KERNEL_ELEMENTS")])
-    def test_rejected_state_count_prints_nothing(self, capsys, n_states, reason):
-        code = run_cli(["fidelity", "--eps-kappa", "0.1", "--n-states", n_states])
+    def test_state_count_flag_is_gone(self, capsys):
+        # F_av always averages over the one 30-node rule.
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(["fidelity", "--n-states", "5"])
+        assert excinfo.value.code == 2
         captured = capsys.readouterr()
-        assert code == 1
         assert captured.out == ""
-        assert "error:" in captured.err and reason in captured.err
+        assert "unrecognized arguments: --n-states 5" in captured.err
 
 
 class TestSweepCommand:
@@ -503,7 +523,7 @@ class TestSweepCommand:
 
 
 class TestKernelSizeCap:
-    @pytest.mark.parametrize("flag", ["--n-states", "--n-spins"])
+    @pytest.mark.parametrize("flag", ["--n-spins"])
     def test_huge_counts_are_errors(self, tmp_path, capsys, flag):
         code = run_cli(["sweep", flag, "100000000", "--output", str(tmp_path / "out.csv")])
         captured = capsys.readouterr()
@@ -749,7 +769,7 @@ class TestSharedParser:
              "--output", str(tmp_path / "s.csv")],
             ["optimize", "--n-spins", "2", "--gamma-stop-ns-inv", "1",
              "--gamma-step-ns-inv", "0.5"],
-            ["fidelity", "--n-states", "4"],
+            ["fidelity"],
             ["reproduce", "fig1_left", "--out-dir", str(tmp_path)],
             ["validate", "--cases", "2"],
         ):
@@ -762,11 +782,11 @@ class TestSharedParser:
         assert len(builds) == 1
 
     def test_config_values_do_not_reach_a_later_command_line(self, builds, tmp_path, capsys):
-        plain = ["fidelity", "--n-states", "4", "--gamma-ns-inv", "2.8"]
+        plain = ["fidelity", "--gamma-ns-inv", "2.8"]
         assert run_cli(plain) == 0
         fresh = capsys.readouterr().out
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("n_spins = 7\neps_kappa = 0.1\ntemperature_k = 80\nn_states = 5\n")
+        cfg.write_text("n_spins = 7\neps_kappa = 0.1\ntemperature_k = 80\n")
         assert run_cli(["fidelity", "--config", str(cfg), "--gamma-ns-inv", "2.8"]) == 0
         assert capsys.readouterr().out != fresh
         assert run_cli(plain) == 0

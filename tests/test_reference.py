@@ -575,8 +575,8 @@ class TestValidationSuite:
         ("seed", 1.5, 0), ("seed", -1, 0),
     ])
     def test_counts_must_be_integers(self, name, value, minimum):
-        # The count rule of SpinBath, SweepConfig and fidelity_curve: a bool
-        # does not run a one-case suite, and a float is a ValueError.
+        # The count rule of SpinBath: a bool does not run a one-case suite,
+        # and a float is a ValueError.
         message = f"{name} must be an integer of at least {minimum}, got {value!r}"
         with pytest.raises(ValueError, match=re.escape(message)):
             run_validation_suite(**{name: value})

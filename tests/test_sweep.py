@@ -75,7 +75,7 @@ REPORT_LINES = {
 def public_f_av(cfg, gamma):
     """F_av of the first setting through the public API, independent of the per-curve objective."""
     errors = cfg.error_settings[0]
-    return average_fidelity(build_channel(cfg.params, errors, cfg.bath, gamma), cfg.n_states)
+    return average_fidelity(build_channel(cfg.params, errors, cfg.bath, gamma))
 
 
 def small_config(**overrides):
@@ -84,7 +84,6 @@ def small_config(**overrides):
         error_settings=(ErrorParams.symmetric(0.2),),
         bath=SpinBath.from_temperature(20, 15.0e3, 50.0),
         grid=GammaGrid(0.0, 8.0, 0.4),
-        n_states=30,
     )
     defaults.update(overrides)
     return SweepConfig(**defaults)
@@ -151,19 +150,6 @@ class TestSweepConfig:
     def test_rejects_empty_settings(self):
         with pytest.raises(ValueError, match="error setting"):
             small_config(error_settings=())
-
-    def test_rejects_small_state_grid(self):
-        with pytest.raises(ValueError, match="n_states"):
-            small_config(n_states=2)
-
-    @pytest.mark.parametrize("bad", [30.5, True, "30", None])
-    def test_rejects_non_integer_state_count(self, bad):
-        with pytest.raises(ValueError, match="n_states"):
-            small_config(n_states=bad)
-
-    def test_numpy_state_count_is_stored_as_int(self):
-        cfg = small_config(n_states=np.int64(31))
-        assert cfg.n_states == 31 and type(cfg.n_states) is int
 
     def test_labels(self):
         cfg = small_config(
@@ -238,6 +224,7 @@ class TestRunSweep:
         assert any("tool: holobath" in line for line in meta)
         assert any("temperature_K: 50" in line for line in meta)
         assert any("beta_alpha:" in line for line in meta)
+        assert "# n_states: 30" in meta  # the one vartheta rule's node count
         rows = list(csv.DictReader(line for line in text.splitlines() if not line.startswith("#")))
         assert len(rows) == 3
         assert set(rows[0]) == {"gamma_ns_inv", "f_av_eps_0.1", "f_av_eps_0.2"}
@@ -335,9 +322,9 @@ class TestCurveObjective:
         varthetas = np.arange(30) * (math.pi / 29)
         carrying = replace(ch, _curve_terms=channel_mod._input_terms(ch.params, ch.effective,
                                                                      varthetas))
-        # Only _curve attaches terms, and only on the n_states its own calls ask for.
-        expected = channel_mod.fidelity_curve(ch, 30)[1]
-        assert np.array_equal(channel_mod.fidelity_curve(carrying, 30)[1], expected)
+        # Only _curve attaches terms, computed on the nodes of the one vartheta rule.
+        expected = channel_mod.fidelity_curve(ch)[1]
+        assert np.array_equal(channel_mod.fidelity_curve(carrying)[1], expected)
         assert np.array_equal(average_fidelity(carrying), average_fidelity(ch))
 
     def test_objective_keeps_no_grid_survival(self):
@@ -346,7 +333,7 @@ class TestCurveObjective:
         p, gammas = LambdaParams(omega=1.0, delta=2.0), np.linspace(0, 8, 9)
         ch = build_channel(p, errors, bath, gammas)
         survival = weakref.ref(ch.survival)
-        values, f = channel_mod._curve(ch, 30)
+        values, f = channel_mod._curve(ch)
         del ch
         gc.collect()
         assert survival() is None
