@@ -266,6 +266,9 @@ def curve_average(values: np.ndarray) -> float | np.ndarray:
     The last axis holds the N_INPUT_STATES rule nodes.  A float for a 1-D
     table, one average per row otherwise.
     """
+    if values.shape[-1:] != (N_INPUT_STATES,):
+        raise ValueError(f"a fidelity table's last axis must hold the N_INPUT_STATES = "
+                         f"{N_INPUT_STATES} rule nodes, got shape {values.shape}")
     averages = values @ _THETA_RULE.weights / _THETA_RULE.total
     return float(averages) if averages.ndim == 0 else averages
 

@@ -2,14 +2,14 @@
 
 Every physical quantity carries its unit in the flag name (``--omega-ns-inv``,
 ``--alpha-ps-inv``, ``--temperature-k``) to keep the mixed ns/ps scales
-honest.  Flags may also come from a flat ``key = value`` config file (same
-names with underscores; a ``#`` at the start of a line or after whitespace
-starts a comment).  Explicit flags win over the file, which wins over the
-defaults: the fig1_left configuration of :mod:`holobath.sweep`, zero errors.
+honest.  The defaults are the fig1_left configuration of
+:mod:`holobath.sweep`, with zero errors.  ``holobath sweep @run.args`` reads
+arguments from ``run.args``, one per line, in the place of ``@run.args``; the
+last value of a flag wins.
 
 One parser per process, built on the first command line, parses every later
 one and holds data only: :func:`main` looks ``cmd_<command>`` up by name at
-call time, and ``--config`` sets the file's values on a parser of its own.
+call time.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import inspect
 import math
 import re
 import sys
-from pathlib import Path
 
 from . import __version__
 from .channel import N_INPUT_STATES, build_channel, curve_average, fidelity_curve
@@ -41,91 +40,18 @@ from .sweep import (
 )
 
 
-# The error flags other than --eps-kappa, by config key; without "_rad" they
-# are the ErrorParams fields.
+# The error flags other than --eps-kappa, by argparse dest; without "_rad"
+# they are the ErrorParams fields.
 _INDIVIDUAL_ERROR_KEYS = ("epsilon0", "epsilon1", "zeta0_rad", "zeta1_rad", "kappa")
 
 
-def _command_parsers(parser: argparse.ArgumentParser) -> dict:
-    """The subcommand parsers of ``parser``, by command name."""
-    (commands,) = (action for action in parser._actions if action.dest == "command")
-    return commands.choices
-
-
-def load_config_file(path: str) -> dict:
-    """Parse a flat ``key = value`` config file into typed option values.
-
-    The keys are the flags of ``sweep``, ``optimize`` and ``fidelity`` with
-    underscores; each value takes its flag's type, and the repeatable
-    ``eps_kappa`` takes a comma-separated list, which a file may not combine
-    with individual error keys.  A key may appear once.  The file is UTF-8,
-    with or without a byte-order mark.
-    """
-    commands = _command_parsers(_shared_parser())
-    actions = {
-        action.dest: action
-        for name in ("sweep", "optimize", "fidelity")
-        for action in commands[name]._actions
-        if action.option_strings and action.dest not in ("help", "config")
-    }
-    out = {}
-    try:  # utf-8-sig: an editor's byte-order mark is not part of the first key
-        text = Path(path).read_text(encoding="utf-8-sig")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
-        line = re.split(r"(?:^|\s)#", raw_line, maxsplit=1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw_line!r}")
-        key, raw = (part.strip() for part in line.split("=", 1))
-        action = actions.get(key)
-        if action is None:
-            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-        if key in out:
-            raise ValueError(f"{path}:{lineno}: config key {key!r} is set twice")
-        convert = action.type or str
-        try:
-            if isinstance(action, argparse._AppendAction):
-                out[key] = [convert(part) for part in raw.split(",") if part.strip()]
-                if not out[key]:
-                    raise ValueError("expected at least one comma-separated value")
-            else:
-                out[key] = convert(raw)
-        except ValueError as exc:
-            raise ValueError(
-                f"{path}:{lineno}: cannot parse {key} value {raw!r}: {exc}"
-            ) from exc
-    individual = [key for key in _INDIVIDUAL_ERROR_KEYS if key in out]
-    if individual and "eps_kappa" in out:
-        raise ValueError(f"{path}: eps_kappa cannot be combined with {', '.join(individual)}")
-    return out
-
-
 def parse_args(argv=None) -> argparse.Namespace:
-    """Parse a command line, taking the options it leaves out from ``--config``.
+    """Parse a command line with the process's one parser.
 
-    An explicit flag wins over the file, which wins over the parser default.
-    The error setting has two forms, ``--eps-kappa`` and the individual
-    error flags.  Any error flag on the command line drops the file's
-    ``eps_kappa`` list (which ``--eps-kappa`` would otherwise append to), and
-    ``--eps-kappa`` drops the file's individual error keys as well; the
-    individual keys of the file and the command line merge key by key.
+    An ``@file`` argument stands for the file's lines, one argument per
+    line, so a flag given after it overrides the file's value.
     """
-    args = _shared_parser().parse_args(argv)
-    if not getattr(args, "config", None):
-        return args
-    values = load_config_file(args.config)
-    if args.eps_kappa is not None or any(getattr(args, key) is not None
-                                         for key in _INDIVIDUAL_ERROR_KEYS):
-        values.pop("eps_kappa", None)
-    if args.eps_kappa is not None:
-        for key in _INDIVIDUAL_ERROR_KEYS:
-            values.pop(key, None)
-    parser = build_parser()  # the file's defaults must not reach the shared parser
-    _command_parsers(parser)[args.command].set_defaults(**values)
-    return parser.parse_args(argv)
+    return _shared_parser().parse_args(argv)
 
 
 def build_params(args: argparse.Namespace) -> LambdaParams:
@@ -164,7 +90,6 @@ def build_sweep_config(args: argparse.Namespace) -> SweepConfig:
 def _add_physics_flags(parser: argparse.ArgumentParser, grid: bool = True) -> None:
     figure = FIGURE_SPECS["fig1_left"]
     group = parser.add_argument_group("physics")
-    group.add_argument("--config", help="flat key = value config file")
     group.add_argument("--omega-ns-inv", type=float, default=FIGURE_PARAMS.omega,
                        help="Rabi amplitude (ns^-1, default %(default)g)")
     group.add_argument("--delta-ns-inv", type=float, default=FIGURE_PARAMS.delta,
@@ -222,7 +147,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="holobath",
         description="Bath-assisted holonomic maps: fidelity sweeps over the "
-                    "system-bath coupling strength.",
+                    "system-bath coupling strength.  @FILE reads arguments from "
+                    "FILE, one per line.",
+        fromfile_prefix_chars="@",
     )
     parser.add_argument("--version", action="version", version=f"holobath {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import tracemalloc
 import warnings
@@ -450,9 +451,10 @@ class TestThetaRule:
                 array[1] = 0.0
 
     def test_table_needs_one_column_per_node(self):
-        for n in (2, 29, 31):
-            with pytest.raises(ValueError):
-                curve_average(np.ones((4, n)))
+        for shape in ((29,), (2, 29), (4, 2), (4, 31)):
+            message = f"N_INPUT_STATES = 30 rule nodes, got shape {shape}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                curve_average(np.ones(shape))
 
 
 def traced_peak(fn) -> int:

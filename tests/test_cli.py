@@ -27,91 +27,11 @@ def run_cli(args):
     return cli.main(args)
 
 
-class TestConfigFile:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text(
-            "# figure-one-style run\n"
-            "omega_ns_inv = 1.0\n"
-            "delta_ns_inv = 2.0\n"
-            "n_spins = 20\n"
-            "alpha_ps_inv = 15\n"
-            "temperature_k = 50\n"
-            "eps_kappa = 0.1, 0.2\n"
-        )
-        opts = cli.load_config_file(str(path))
-        assert opts["n_spins"] == 20
-        assert opts["eps_kappa"] == [0.1, 0.2]
-        assert opts["temperature_k"] == 50.0
-
-    def test_unknown_key_rejected(self, tmp_path):
-        path = tmp_path / "bad.cfg"
-        path.write_text("omega_mhz = 3\n")
-        with pytest.raises(ValueError, match="omega_mhz"):
-            cli.load_config_file(str(path))
-
-    def test_malformed_line_rejected(self, tmp_path):
-        path = tmp_path / "bad.cfg"
-        path.write_text("omega_ns_inv\n")
-        with pytest.raises(ValueError, match="key = value"):
-            cli.load_config_file(str(path))
-
-    def test_unparseable_value_rejected(self, tmp_path):
-        path = tmp_path / "bad.cfg"
-        path.write_text("n_spins = twenty\n")
-        with pytest.raises(ValueError, match="n_spins"):
-            cli.load_config_file(str(path))
-
-    @pytest.mark.parametrize("value", ["", ",", " , "])
-    def test_empty_eps_kappa_rejected(self, tmp_path, capsys, value):
-        # An empty list would fail later without naming the file.
-        path = tmp_path / "bad.cfg"
-        path.write_text(f"n_spins = 4\neps_kappa ={value}\n")
-        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: .*eps_kappa"):
-            cli.load_config_file(str(path))
-        for command in ("sweep", "optimize", "fidelity"):
-            assert run_cli([command, "--config", str(path)]) == 1
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err.startswith(f"error: {path}:2: ") and "eps_kappa" in captured.err
-
-    @pytest.mark.parametrize("key, first, second", [("eps_kappa", "0.1", "0.2"),
-                                                    ("n_spins", "4", "6")])
-    def test_repeated_key_rejected(self, tmp_path, capsys, key, first, second):
-        # Two --eps-kappa flags run two curves; a file must not keep only the last line.
-        path = tmp_path / "twice.cfg"
-        path.write_text(f"{key} = {first}\ngamma_step_ns_inv = 4\n{key} = {second}\n")
-        message = f"{path}:3: config key {key!r} is set twice"
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            cli.load_config_file(str(path))
-        assert run_cli(["optimize", "--config", str(path)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: {message}\n"
-
-    def test_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path, capsys):
-        # Editors on some platforms save UTF-8 with a leading byte-order mark.
-        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
-        text = "omega_ns_inv = 1.5\nn_spins = 4\n"
-        plain.write_bytes(text.encode("utf-8"))
-        marked.write_bytes(text.encode("utf-8-sig"))
-        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
-        assert cli.load_config_file(str(marked)) == cli.load_config_file(str(plain))
-        assert cli.load_config_file(str(marked))["omega_ns_inv"] == 1.5
-        assert run_cli(["optimize", "--config", str(marked)]) == 0
-        from_marked = capsys.readouterr().out
-        assert run_cli(["optimize", "--config", str(plain)]) == 0
-        assert capsys.readouterr().out == from_marked
-
-    def test_undecodable_file_is_named(self, tmp_path, capsys):
-        path = tmp_path / "latin1.cfg"
-        path.write_bytes(b"n_spins = 4\n# temp\xe9rature\n")
-        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: .*decode byte 0xe9"):
-            cli.load_config_file(str(path))
-        assert run_cli(["sweep", "--config", str(path)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith(f"error: {path}: ")
+def args_file(tmp_path, *lines):
+    """The ``@file`` argument of a file that holds ``lines``, one argument per line."""
+    path = tmp_path / "run.args"
+    path.write_text("".join(f"{line}\n" for line in lines))
+    return f"@{path}"
 
 
 class TestErrorSettings:
@@ -137,7 +57,8 @@ class TestErrorSettings:
             cli.build_error_settings(args)
 
 
-# Every config key, a value that is not its default, and the commands with that flag.
+# Every flag of sweep, optimize and fidelity by dest, a value that is not its
+# default, and the commands with that flag.
 CONFIG_VALUES = [
     ("omega_ns_inv", "1.5", ("sweep", "optimize", "fidelity")),
     ("delta_ns_inv", "2.5", ("sweep", "optimize", "fidelity")),
@@ -161,6 +82,8 @@ CONFIG_VALUES = [
 
 
 class TestConfigPrecedence:
+    """A run's flags from an ``@file`` and the command line form one argument list."""
+
     def test_keys_are_the_flags_of_the_config_commands(self):
         commands = {"sweep": set(), "optimize": set(), "fidelity": set()}
         for key, _, names in CONFIG_VALUES:
@@ -168,96 +91,62 @@ class TestConfigPrecedence:
                 commands[name].add(key)
         for name, keys in commands.items():
             namespace = vars(cli.build_parser().parse_args([name]))
-            assert set(namespace) - {"command", "config"} == keys
+            assert set(namespace) - {"command"} == keys
 
     @pytest.mark.parametrize("key, value, commands", CONFIG_VALUES,
                              ids=[key for key, _, _ in CONFIG_VALUES])
     def test_file_value_equals_flag_value(self, tmp_path, key, value, commands):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"{key} = {value}\n")
+        flag = f"--{key.replace('_', '-')}"
+        from_file = args_file(tmp_path, flag, value)
         for command in commands:
-            from_file = vars(cli.parse_args([command, "--config", str(cfg)]))
-            from_flag = vars(cli.parse_args([command, f"--{key.replace('_', '-')}", value]))
-            del from_file["config"], from_flag["config"]
-            assert from_file == from_flag
-            assert from_file[key] != vars(cli.parse_args([command]))[key]
+            args = vars(cli.parse_args([command, from_file]))
+            assert args == vars(cli.parse_args([command, flag, value]))
+            assert args[key] != vars(cli.parse_args([command]))[key]
 
-    def test_flag_eps_kappa_replaces_the_file_list(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("eps_kappa = 0.1, 0.2\nn_spins = 4\ngamma_step_ns_inv = 4\n")
-        out = tmp_path / "o.csv"
-        code = run_cli(["sweep", "--config", str(cfg), "--eps-kappa", "0.3",
-                        "--output", str(out)])
-        assert code == 0
-        header = [line for line in out.read_text().splitlines() if line.startswith("gamma")]
-        assert header == ["gamma_ns_inv,f_av_eps_0.3"]
+    def test_last_value_wins(self, tmp_path):
+        from_file = args_file(tmp_path, "--n-spins", "16")
+        assert cli.parse_args(["sweep", from_file, "--n-spins", "28"]).n_spins == 28
+        assert cli.parse_args(["sweep", "--n-spins", "28", from_file]).n_spins == 16
 
-    @pytest.mark.parametrize("text, flags, settings", [
-        ("eps_kappa = 0.1, 0.2", ["--kappa", "0.1"], (ErrorParams(kappa=0.1),)),
-        ("kappa = 0.2\nepsilon1 = 0.3", ["--eps-kappa", "0.1"], (ErrorParams.symmetric(0.1),)),
-        ("kappa = 0.2", ["--epsilon0", "0.1"], (ErrorParams(epsilon0=0.1, kappa=0.2),)),
-    ], ids=["error_flag_drops_file_list", "eps_kappa_drops_file_keys", "keys_merge"])
-    def test_error_setting_from_file_and_flags(self, tmp_path, text, flags, settings):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(text + "\n")
-        args = cli.parse_args(["optimize", "--config", str(cfg), *flags])
-        assert cli.build_error_settings(args) == settings
+    def test_eps_kappa_accumulates_across_the_file_and_the_command_line(self, tmp_path):
+        from_file = args_file(tmp_path, "--eps-kappa=0.1", "--eps-kappa=0.2")
+        args = cli.parse_args(["optimize", from_file, "--eps-kappa", "0.3"])
+        assert cli.build_error_settings(args) == tuple(
+            ErrorParams.symmetric(value) for value in (0.1, 0.2, 0.3))
+
+    def test_negative_value_in_exponent_form_is_a_number(self, tmp_path):
+        from_file = args_file(tmp_path, "--delta-ns-inv", "-2e3", "--zeta0-rad=-1e-3")
+        args = cli.parse_args(["fidelity", from_file])
+        assert (args.delta_ns_inv, args.zeta0_rad) == (-2000.0, -1e-3)
+
+    def test_individual_error_flags_merge_across_the_file_and_the_command_line(self, tmp_path):
+        args = cli.parse_args(["optimize", args_file(tmp_path, "--kappa=0.2"), "--epsilon0", "0.1"])
+        assert cli.build_error_settings(args) == (ErrorParams(epsilon0=0.1, kappa=0.2),)
 
     def test_both_error_forms_in_one_file_are_an_error(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("kappa = 0.2\neps_kappa = 0.1\nzeta0_rad = 0.3\n")
-        assert run_cli(["optimize", "--config", str(cfg)]) == 1
-        assert capsys.readouterr().err == (
-            f"error: {cfg}: eps_kappa cannot be combined with zeta0_rad, kappa\n")
-
-    def test_both_error_forms_on_one_command_line_are_an_error(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("n_spins = 4\n")
-        assert run_cli(["optimize", "--config", str(cfg), "--eps-kappa", "0.1",
-                        "--kappa", "0.2"]) == 1
-        assert capsys.readouterr().err == (
-            "error: --eps-kappa cannot be combined with individual error flags\n")
-
-    def test_beta_key_is_unknown(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("beta_ns = 1\n")
-        assert run_cli(["fidelity", "--config", str(cfg)]) == 1
-        assert capsys.readouterr().err == f"error: {cfg}:1: unknown config key 'beta_ns'\n"
-
-    def test_state_count_key_is_unknown(self, tmp_path, capsys):
-        # F_av always averages over the one 30-node rule.
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("n_spins = 4\nn_states = 5\n")
-        assert run_cli(["fidelity", "--config", str(cfg)]) == 1
+        from_file = args_file(tmp_path, "--kappa=0.2", "--eps-kappa=0.1", "--zeta0-rad=0.3")
+        assert run_cli(["optimize", from_file]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: {cfg}:2: unknown config key 'n_states'\n"
+        assert captured.err == (
+            "error: --eps-kappa cannot be combined with individual error flags\n")
 
-    def test_fidelity_accepts_grid_keys(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("gamma_start_ns_inv = 0\ngamma_stop_ns_inv = 8\n"
-                       "gamma_step_ns_inv = 0.05\n")
-        assert run_cli(["fidelity", "--config", str(cfg)]) == 0
-        assert "F_av (n=30) = 1.000000000000" in capsys.readouterr().out
+    def test_both_error_forms_on_one_command_line_are_an_error(self, tmp_path, capsys):
+        for argv in (["--n-spins", "4", "--eps-kappa", "0.1", "--kappa", "0.2"],
+                     [args_file(tmp_path, "--kappa=0.2"), "--eps-kappa", "0.1"]):
+            assert run_cli(["optimize", *argv]) == 1
+            assert capsys.readouterr().err == (
+                "error: --eps-kappa cannot be combined with individual error flags\n")
 
-    def test_optimize_accepts_output(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"output = {tmp_path / 'unused.csv'}\nn_spins = 4\n"
-                       "gamma_stop_ns_inv = 1\ngamma_step_ns_inv = 0.5\n")
-        assert run_cli(["optimize", "--config", str(cfg)]) == 0
-        assert "gamma*=0.000000" in capsys.readouterr().out
-        assert not (tmp_path / "unused.csv").exists()
-
-    def test_readme_example(self, tmp_path, capsys):
+    def test_readme_example(self, tmp_path, monkeypatch, capsys):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-        (block,) = re.findall(r"```\n(# run\.cfg\n.*?)```", readme, re.DOTALL)
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(block)
-        out = tmp_path / "o.csv"
-        code = run_cli(["sweep", "--config", str(cfg), "--gamma-step-ns-inv", "2",
-                        "--output", str(out)])
-        assert code == 0
-        rows = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+        ((block, command),) = re.findall(
+            r"`run\.args`:\n\n```\n(.*?)```\n\n```bash\n(holobath .*?)\n```", readme, re.DOTALL)
+        (tmp_path / "run.args").write_text(block)
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(shlex.split(command)[1:]) == 0
+        rows = [line for line in Path("o.csv").read_text().splitlines()
+                if not line.startswith("#")]
         assert rows[0] == "gamma_ns_inv,f_av_eps_0.1,f_av_eps_0.15,f_av_eps_0.2"
         assert [row.split(",")[0] for row in rows[1:]] == ["0", "2", "4", "6", "8"]
 
@@ -455,37 +344,19 @@ class TestSweepCommand:
         assert not out.exists()
 
     def test_config_file_with_override(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(
-            "gamma_start_ns_inv = 0\n"
-            "gamma_stop_ns_inv = 2\n"
-            "gamma_step_ns_inv = 1\n"
-            "n_spins = 4\n"
-            "eps_kappa = 0.1\n"
-        )
-        out = tmp_path / "o.csv"
-        code = run_cli(
-            ["sweep", "--config", str(cfg), "--gamma-stop-ns-inv", "1", "--output", str(out)]
-        )
+        # A flag after the @file overrides the file's value.
+        flags = ["--gamma-start-ns-inv=0", "--gamma-stop-ns-inv=2", "--gamma-step-ns-inv=1",
+                 "--n-spins=4", "--eps-kappa=0.1"]
+        from_file, from_flags = tmp_path / "file.csv", tmp_path / "flags.csv"
+        code = run_cli(["sweep", args_file(tmp_path, *flags), "--gamma-stop-ns-inv", "1",
+                        "--output", str(from_file)])
         assert code == 0
         rows = [
-            line for line in out.read_text().splitlines() if not line.startswith("#")
+            line for line in from_file.read_text().splitlines() if not line.startswith("#")
         ]
         assert len(rows) == 1 + 2  # header + gamma in {0, 1}
-
-    def test_config_comment_needs_leading_whitespace(self, tmp_path, capsys):
-        # A '#' inside a value is part of it; one after whitespace starts a comment.
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(
-            "# a full-line comment\n"
-            f"output = {tmp_path}/run#1.csv\n"
-            "n_spins = 4  # bath\n"
-            "gamma_stop_ns_inv = 1\n"
-            "gamma_step_ns_inv = 0.5\n"
-        )
-        assert run_cli(["sweep", "--config", str(cfg)]) == 0
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["run#1.csv", "run.cfg"]
-        assert "# n_spins: 4\n" in (tmp_path / "run#1.csv").read_text()
+        assert run_cli(["sweep", *flags, "--gamma-stop-ns-inv=1", "--output", str(from_flags)]) == 0
+        assert from_file.read_bytes() == from_flags.read_bytes()
 
     def test_non_finite_curve_is_an_error(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
@@ -498,9 +369,12 @@ class TestSweepCommand:
         assert not out.exists()
 
     def test_missing_config_file(self, capsys):
-        code = run_cli(["sweep", "--config", "/no/such/file.cfg"])
-        assert code == 1
-        assert "error:" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(["sweep", "@/no/such/file.args"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "/no/such/file.args" in captured.err
 
     def test_unwritable_output(self, tmp_path, capsys):
         code = run_cli(
@@ -626,16 +500,22 @@ class TestValidateCommand:
         assert captured.err == f"error: {message}\n"
 
 
-def run_python(code):
-    """Run ``code`` in a fresh interpreter that imports this checkout's holobath."""
+def run_python(*args):
+    """Run a fresh interpreter with ``args``, importing this checkout's holobath."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(holobath.__file__)))
     return subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": src},
         timeout=60,
     )
+
+
+def test_python_m_holobath_runs_the_cli():
+    proc = run_python("-m", "holobath", "--version")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"holobath {holobath.__version__}\n"
 
 
 def test_import_leaves_scipy_unloaded():
@@ -644,7 +524,7 @@ def test_import_leaves_scipy_unloaded():
     code = ("import sys, holobath.cli; "
             "loaded = [m for m in ('scipy', 'pytest', 'hypothesis') if m in sys.modules]; "
             "sys.exit(' '.join(loaded) or None)")
-    proc = run_python(code)
+    proc = run_python("-c", code)
     assert proc.returncode == 0, f"importing holobath.cli loaded or raised: {proc.stderr}"
 
 
@@ -655,7 +535,7 @@ def test_import_builds_no_parser():
             "lambda self, *a, **k: built.append(1) or init(self, *a, **k); "
             "import holobath.cli; at_import = len(built); "
             "holobath.cli.parse_args(['validate']); print(at_import, len(built) > 0)")
-    proc = run_python(code)
+    proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "0 True\n"
 
@@ -703,18 +583,15 @@ class TestDefaults:
             assert re.search(rf"--{flag} \S+ .*?\(default {default}\)", help_text), flag
         assert f"BRUTE_FORCE_MAX_COLLAPSED = {BRUTE_FORCE_MAX_COLLAPSED}" in help_text
 
-    def test_theta_help_names_the_default(self):
+    def test_theta_help_names_the_default(self, capsys):
         # The help spells the default as a multiple of pi, taken from FIGURE_PARAMS.
-        actions = [
-            action
-            for parser in cli._command_parsers(cli.build_parser()).values()
-            for action in parser._actions
-            if "--theta-rad" in action.option_strings
-        ]
-        assert len(actions) == 3
-        for action in actions:
-            assert action.default == FIGURE_PARAMS.theta
-            (multiple,) = re.findall(r"^mixing angle \(rad, default (\S+)\*pi\)$", action.help)
+        for command in ("sweep", "optimize", "fidelity"):
+            assert cli.parse_args([command]).theta_rad == FIGURE_PARAMS.theta
+            with pytest.raises(SystemExit):
+                run_cli([command, "--help"])
+            help_text = " ".join(capsys.readouterr().out.split())
+            (multiple,) = re.findall(
+                r"--theta-rad THETA_RAD mixing angle \(rad, default (\S+)\*pi\)", help_text)
             assert float(multiple) * math.pi == pytest.approx(FIGURE_PARAMS.theta)
 
 
@@ -772,22 +649,22 @@ class TestSharedParser:
             ["fidelity"],
             ["reproduce", "fig1_left", "--out-dir", str(tmp_path)],
             ["validate", "--cases", "2"],
+            ["fidelity", args_file(tmp_path, "--eps-kappa=0.1", "--gamma-ns-inv=2.8")],
         ):
             assert run_cli(argv) == 0, argv
         for argv, code in ((["sweep", "--no-such-flag"], 2), (["validate", "--help"], 0),
-                           (["--version"], 0)):
+                           (["--version"], 0), (["sweep", f"@{tmp_path / 'missing'}"], 2)):
             with pytest.raises(SystemExit) as excinfo:
                 run_cli(argv)
             assert excinfo.value.code == code, argv
         assert len(builds) == 1
 
-    def test_config_values_do_not_reach_a_later_command_line(self, builds, tmp_path, capsys):
+    def test_file_values_do_not_reach_a_later_command_line(self, builds, tmp_path, capsys):
         plain = ["fidelity", "--gamma-ns-inv", "2.8"]
         assert run_cli(plain) == 0
         fresh = capsys.readouterr().out
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("n_spins = 7\neps_kappa = 0.1\ntemperature_k = 80\n")
-        assert run_cli(["fidelity", "--config", str(cfg), "--gamma-ns-inv", "2.8"]) == 0
+        from_file = args_file(tmp_path, "--n-spins=7", "--eps-kappa=0.1", "--temperature-k=80")
+        assert run_cli(["fidelity", from_file, "--gamma-ns-inv", "2.8"]) == 0
         assert capsys.readouterr().out != fresh
         assert run_cli(plain) == 0
         assert capsys.readouterr().out == fresh
