@@ -68,22 +68,14 @@ __all__ = [
 ]
 
 N_INPUT_STATES = 30  # vartheta nodes of the F_av average
-# The one size limit: the largest kernel arrays are (len(gamma), N+1) in
-# build_channel, about 72 bytes per element at its peak, and (len(gamma),
-# N_INPUT_STATES) in the fidelity kernel, about 25; a gamma grid has one row
-# per point.  3e6 elements (near 220 MB) admit a grid as fine as the
-# golden-section tolerance over the figure range (80,001 points) with the
-# largest figure bath, N = 28.
+# The one size limit, applied once by build_channel: the largest kernel arrays
+# are (len(gamma), N+1) in build_channel, about 72 bytes per element at its
+# peak, and (len(gamma), N_INPUT_STATES) in the fidelity kernel, about 25, so
+# a channel's gamma count times the wider of the two must stay within it.  A
+# gamma grid has one row per point.  3e6 elements (near 220 MB) admit a grid
+# as fine as the golden-section tolerance over the figure range (80,001
+# points) with the largest figure bath, N = 28.
 MAX_KERNEL_ELEMENTS = 3_000_000
-
-
-def _require_kernel_size(rows: int, rows_axis: str, width: int, axis: str) -> None:
-    """Reject a (rows, width) kernel array before anything is allocated."""
-    if rows * width > MAX_KERNEL_ELEMENTS:
-        raise ValueError(
-            f"{rows} {rows_axis} x {width} {axis} is {rows * width} kernel elements, "
-            f"more than MAX_KERNEL_ELEMENTS = {MAX_KERNEL_ELEMENTS}"
-        )
 
 
 @dataclass(frozen=True)
@@ -134,18 +126,27 @@ def build_channel(
     the ideal cyclic time tau0 = 2*pi/delta0 of the unprimed parameters;
     errors enter only through the effective drive.
 
-    This is the kernel's one domain check, made before any kernel array is
-    built: the survival phases D*tau0/2 and pi*hypot(D, 2*omega')/delta0 of
-    the shifted detuning D = delta' + gamma*m must be finite for every gamma
-    and m.  Both grow with |D|, which peaks at m = N and at the smallest or
-    largest of gamma and 0, so those two shifts decide it.  A NaN or infinite
-    gamma, an overflowing D or phase and an infinite tau0 all raise ValueError
-    naming the inputs; an accepted channel yields finite fidelities.
+    This holds the kernel's one size check and one domain check, both made
+    before any kernel array is built.  Size: the gamma count times the wider
+    of the N+1 bath levels and the N_INPUT_STATES rule nodes may be at most
+    MAX_KERNEL_ELEMENTS, so every array that a fidelity function builds on
+    the channel fits, and those functions check nothing.  Domain: the
+    survival phases D*tau0/2 and pi*hypot(D, 2*omega')/delta0 of the shifted
+    detuning D = delta' + gamma*m must be finite for every gamma and m.  Both
+    grow with |D|, which peaks at m = N and at the smallest or largest of
+    gamma and 0, so those two shifts decide it.  A NaN or infinite gamma, an
+    overflowing D or phase and an infinite tau0 all raise ValueError naming
+    the inputs; an accepted channel yields finite fidelities.
     """
     gammas = np.asarray(gamma, dtype=float)
     if gammas.ndim > 1:
         raise ValueError(f"gamma must be a scalar or a 1-D array, got shape {gammas.shape}")
-    _require_kernel_size(gammas.size, "gamma values", b.n_spins + 1, "bath levels")
+    width, axis = ((b.n_spins + 1, "bath levels") if b.n_spins + 1 >= N_INPUT_STATES
+                   else (N_INPUT_STATES, "input states"))
+    if gammas.size * width > MAX_KERNEL_ELEMENTS:
+        raise ValueError(f"{gammas.size} gamma values x {width} {axis} is "
+                         f"{gammas.size * width} kernel elements, "
+                         f"more than MAX_KERNEL_ELEMENTS = {MAX_KERNEL_ELEMENTS}")
     eff = apply_errors(p, e)
     # Plain floats, in the kernel's expressions and order, so no overflow warns.
     for g in (float(gammas.min(initial=0.0)), float(gammas.max(initial=0.0))):
@@ -248,12 +249,9 @@ def fidelity_curve(ch: HolonomicChannel) -> tuple[np.ndarray, np.ndarray]:
     """(vartheta_k, F(vartheta_k)) over the N_INPUT_STATES rule nodes (xi = 0).
 
     The vartheta_k array is read-only.  For a gamma-array channel the values
-    have shape (len(gamma), N_INPUT_STATES), a table that may hold at most
-    MAX_KERNEL_ELEMENTS values, checked before anything is computed.
+    have shape (len(gamma), N_INPUT_STATES); it checks nothing, as
+    ``build_channel`` sized the channel for this table.
     """
-    # survival holds one row of N+1 amplitudes per gamma
-    _require_kernel_size(ch.survival.size // ch.weights.size, "gamma values",
-                         N_INPUT_STATES, "input states")
     terms = ch._curve_terms  # only _curve attaches terms
     if terms is None:
         terms = _input_terms(ch.params, ch.effective, _THETA_RULE.nodes)
@@ -288,11 +286,12 @@ def _curve(ch: HolonomicChannel):
     go through ``average_fidelity`` on channels carrying them, because the
     benchmark's planted-fault test patches that function: the grid on ch, each
     objective call on a channel of ch's effective drive and thermal weights.
-    A call checks nothing, as its gammas lie in a grid bracket that
-    ``build_channel`` checked, and computes only the survival amplitudes,
-    the bath reduction and the rule's average.  The objective equals
-    ``average_fidelity(build_channel(p, e, ch.bath, gamma))`` bit for bit and
-    keeps ch's survival array alive no longer than ch.
+    A call checks nothing, as the refinement passes one gamma at a time from
+    a grid bracket whose domain and size ``build_channel`` checked, and
+    computes only the survival amplitudes, the bath reduction and the rule's
+    average.  The objective equals ``average_fidelity(build_channel(p, e,
+    ch.bath, gamma))`` bit for bit and keeps ch's survival array alive no
+    longer than ch.
     """
     terms = _input_terms(ch.params, ch.effective, _THETA_RULE.nodes)
     for array in terms:

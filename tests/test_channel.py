@@ -479,30 +479,39 @@ class TestKernelSizeCap:
         assert traced_peak(build) < 100_000
 
     def test_oversized_state_grid_rejected_before_allocating(self, params, bath50, monkeypatch):
-        # Below N = 29 the (gamma, input states) table outgrows the (gamma, N+1) survival.
+        # Below N = 29 the (gamma, input states) table outgrows the (gamma, N+1)
+        # survival, and build_channel rejects it before either exists.
         gammas = FIGURE_GRID.values()
         monkeypatch.setattr(channel_mod, "MAX_KERNEL_ELEMENTS", gammas.size * 29)
-        ch = build_channel(params, ErrorParams.symmetric(0.1), bath50, gammas)
 
-        def evaluate():
-            for call in (fidelity_curve, average_fidelity):
-                with pytest.raises(ValueError, match="161 gamma values x 30 input states"):
-                    call(ch)
+        def build():
+            message = "161 gamma values x 30 input states is 4830 kernel elements"
+            with pytest.raises(ValueError, match=message):
+                build_channel(params, ErrorParams.symmetric(0.1), bath50, gammas)
 
-        assert traced_peak(evaluate) < 100_000
+        assert traced_peak(build) < 100_000
 
-    def test_cap_boundary(self, params, bath50, monkeypatch):
+    def test_cap_boundary(self, params, monkeypatch):
+        # The wider of N+1 and the 30 input states sizes the channel; N = 29 ties.
         gammas = FIGURE_GRID.values()
-        monkeypatch.setattr(channel_mod, "MAX_KERNEL_ELEMENTS", gammas.size * 30)
-        ch = build_channel(params, ErrorParams.symmetric(0.1), bath50, gammas)
-        assert average_fidelity(ch).shape == gammas.shape
-        monkeypatch.setattr(channel_mod, "MAX_KERNEL_ELEMENTS", gammas.size * 30 - 1)
-        with pytest.raises(ValueError, match="MAX_KERNEL_ELEMENTS"):
-            average_fidelity(ch)
-        monkeypatch.setattr(channel_mod, "MAX_KERNEL_ELEMENTS", gammas.size * 21)
-        assert build_channel(params, ErrorParams(), bath50, gammas).survival.shape == (161, 21)
-        with pytest.raises(ValueError, match="MAX_KERNEL_ELEMENTS"):
-            build_channel(params, ErrorParams(), SpinBath(21, 15.0e3, 0.01), gammas)
+        for n_spins in (20, 28, 29, 40):
+            width = max(n_spins + 1, N_INPUT_STATES)
+            axis = "input states" if n_spins < 29 else "bath levels"
+            bath = SpinBath(n_spins, 15.0e3, 0.01)
+            monkeypatch.setattr(channel_mod, "MAX_KERNEL_ELEMENTS", gammas.size * width)
+            ch = build_channel(params, ErrorParams.symmetric(0.1), bath, gammas)
+            assert ch.survival.shape == (161, n_spins + 1)
+            assert fidelity_curve(ch)[1].shape == (161, N_INPUT_STATES)
+            assert average_fidelity(ch).shape == gammas.shape
+            monkeypatch.setattr(channel_mod, "MAX_KERNEL_ELEMENTS", gammas.size * width - 1)
+
+            def build():
+                with pytest.raises(ValueError, match=f"161 gamma values x {width} {axis} is "
+                                                     f"{161 * width} kernel elements, more than "
+                                                     f"MAX_KERNEL_ELEMENTS = {161 * width - 1}"):
+                    build_channel(params, ErrorParams(), bath, gammas)
+
+            assert traced_peak(build) < 100_000
 
     def test_largest_grid_fits_every_figure_configuration(self):
         # A grid as fine as the refinement tolerance over the figure range;

@@ -405,6 +405,24 @@ class TestKernelSizeCap:
         assert "error:" in captured.err and "MAX_KERNEL_ELEMENTS" in captured.err
         assert not (tmp_path / "out.csv").exists()
 
+    def test_oversized_state_table_is_rejected_before_the_kernel(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        # 114,286 points x 21 bath levels fit, but the 30-state table does not.
+        def unreachable(*args, **kwargs):
+            raise AssertionError("survival amplitudes computed before the size check")
+
+        monkeypatch.setattr(channel_mod, "bright_survival_amplitude", unreachable)
+        output = tmp_path / "out.csv"
+        code = run_cli(["sweep", "--gamma-step-ns-inv", "7e-5", "--n-spins", "20",
+                        "--output", str(output)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line == ("error: 114286 gamma values x 30 input states is 3428580 kernel "
+                        "elements, more than MAX_KERNEL_ELEMENTS = 3000000")
+        assert not output.exists()
+
 
 class TestOptimizeCommand:
     def test_boundary_warning_for_zero_errors(self, capsys):

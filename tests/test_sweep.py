@@ -365,24 +365,18 @@ class TestCurveObjective:
 
     def test_oversized_grid_still_raises(self, monkeypatch):
         cfg = small_config(grid=GammaGrid(0.0, 8.0, 0.05))  # 161 points, N + 1 = 21, 30 states
-        monkeypatch.setattr(channel_mod, "MAX_KERNEL_ELEMENTS", 161 * 21 - 1)
-        for call in (run_sweep, optimize_gamma):
-            with pytest.raises(ValueError, match="161 gamma values x 21 bath levels"):
-                call(cfg)
-        monkeypatch.setattr(channel_mod, "MAX_KERNEL_ELEMENTS", 161 * 21)
-        with pytest.raises(ValueError, match="161 gamma values x 30 input states"):
-            run_sweep(cfg)
-
         monkeypatch.setattr(channel_mod, "MAX_KERNEL_ELEMENTS", 161 * 30)
-        _, (f,) = sweep_mod._sweep(cfg)
+        assert run_sweep(cfg).curves.shape == (1, 161)
 
         def unreachable(*args, **kwargs):
-            raise AssertionError("fidelity kernel computed before its size check")
+            raise AssertionError("survival amplitudes computed before the size check")
 
-        # The input-state check runs before the array it bounds is allocated.
-        monkeypatch.setattr(channel_mod, "_bath_fidelity", unreachable)
-        with pytest.raises(ValueError, match="162 gamma values x 30 input states"):
-            f(np.zeros(162))
+        # build_channel rejects the (gamma, input states) table before any kernel array.
+        monkeypatch.setattr(channel_mod, "MAX_KERNEL_ELEMENTS", 161 * 30 - 1)
+        monkeypatch.setattr(channel_mod, "bright_survival_amplitude", unreachable)
+        for call in (run_sweep, optimize_gamma):
+            with pytest.raises(ValueError, match="161 gamma values x 30 input states"):
+                call(cfg)
 
     GAMMA_FORMS = {
         "float": float,
