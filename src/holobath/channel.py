@@ -68,13 +68,12 @@ __all__ = [
 ]
 
 N_INPUT_STATES = 30  # vartheta nodes of the F_av average
-# The one size limit, applied once by build_channel: the largest kernel arrays
-# are (len(gamma), N+1) in build_channel, about 72 bytes per element at its
-# peak, and (len(gamma), N_INPUT_STATES) in the fidelity kernel, about 25, so
-# a channel's gamma count times the wider of the two must stay within it.  A
-# gamma grid has one row per point.  3e6 elements (near 220 MB) admit a grid
-# as fine as the golden-section tolerance over the figure range (80,001
-# points) with the largest figure bath, N = 28.
+# The one size limit, applied by build_channel (its docstring states the rule):
+# the largest kernel arrays are (len(gamma), N+1) in build_channel, about 72
+# bytes per element at its peak, and (len(gamma), N_INPUT_STATES) in the
+# fidelity kernel, about 25.  A gamma grid has one row per point.  3e6
+# elements (near 220 MB) admit a grid as fine as the golden-section tolerance
+# over the figure range (80,001 points) with the largest figure bath, N = 28.
 MAX_KERNEL_ELEMENTS = 3_000_000
 
 

@@ -1,15 +1,7 @@
-import os
-
 import numpy as np
 import pytest
-from hypothesis import settings
 
 from holobath import ErrorParams, LambdaParams, SpinBath
-
-# HYPOTHESIS_PROFILE=ci prints a failing property's @reproduce_failure blob, so
-# a failure on a CI runner can be replayed locally; it changes nothing else.
-settings.register_profile("ci", print_blob=True)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture
