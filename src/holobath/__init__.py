@@ -12,7 +12,7 @@ references.
 
 __version__ = "0.1.0"
 
-from .channel import average_fidelity, build_channel
+from .channel import average_fidelity, build_channel, fidelity_curve
 from .error_model import ErrorParams
 from .lambda_system import LambdaParams
 from .reference import run_validation_suite
@@ -25,6 +25,7 @@ __all__ = [
     "ErrorParams",
     "SpinBath",
     "build_channel",
+    "fidelity_curve",
     "average_fidelity",
     "GammaGrid",
     "SweepConfig",

@@ -26,20 +26,20 @@ terms |A|^2, A^* B and |B|^2, which depend on the drive, the errors and
 The public functions compose the two.  F_av averages F over one vartheta
 rule, built read-only at import: N_INPUT_STATES = 30 equidistant nodes
 vartheta_k = k*pi/29 on the xi = 0 meridian, their sin weights with both
-endpoints zeroed, and the weights' sum; the average of a table on the nodes
-is values @ weights / sum.  :func:`_curve` builds a sweep curve: it computes the
-first half, the bath occupations and the ideal drive's gap delta0 once
-and returns F_av on the grid and an objective gamma -> F_av whose channels
-carry those terms, so each golden-section step computes only the survival
-amplitudes, the second half and the rule's average.  The dense
-3x3 Kraus matrices live in :mod:`holobath.reference` and serve only to
-validate the kernel.
+endpoints zeroed, and the weights' sum.  :func:`average_fidelity` is the one
+F_av reduction: it averages a :func:`fidelity_curve` table on the nodes as
+values @ weights / sum.  :func:`_curve` builds a sweep curve: it computes the
+first half, the bath occupations and the ideal drive's gap delta0 once and
+returns F_av on the grid and an objective gamma -> F_av, so each
+golden-section step computes only the survival amplitudes, the second half
+and the rule's average.  The dense 3x3 Kraus matrices live in
+:mod:`holobath.reference` and serve only to validate the kernel.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -62,7 +62,6 @@ __all__ = [
     "state_fidelity",
     "average_fidelity",
     "fidelity_curve",
-    "curve_average",
     "MAX_KERNEL_ELEMENTS",
     "N_INPUT_STATES",
 ]
@@ -108,11 +107,6 @@ class HolonomicChannel:
     gamma: float | np.ndarray
     weights: np.ndarray = field(repr=False)
     survival: np.ndarray = field(repr=False)
-    # The gamma-independent input-state terms of a fidelity_curve, when the
-    # channel's curve computed them once for every gamma it visits (see
-    # _curve); None makes fidelity_curve compute them.
-    _curve_terms: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
-        default=None, repr=False, compare=False)
 
 
 def build_channel(
@@ -156,26 +150,17 @@ def build_channel(
                              f"for omega={p.omega}, delta={p.delta} with {e}")
     weights = thermal_weights(b)
     weights.flags.writeable = False
-    return _channel_maker(p, eff, b, weights)(gammas)
+    survival = _survival(eff, b.occupations(), p.delta0, gammas)
+    return HolonomicChannel(p, eff, b, gammas if gammas.ndim else float(gammas), weights, survival)
 
 
-def _channel_maker(p: LambdaParams, eff: LambdaParams, b: SpinBath, weights: np.ndarray,
-                   curve_terms=None):
-    """gamma array -> the channel whose u_m run the effective drive at detuning delta' + gamma*m.
-
-    The gamma-independent factors, the occupations m and the ideal drive's
-    gap delta0, are computed here once for every channel it makes.
-    """
-    occupations, delta0 = b.occupations(), p.delta0
-
-    def make(gammas: np.ndarray) -> HolonomicChannel:
-        shifts = eff.delta + gammas[..., None] * occupations
-        survival = bright_survival_amplitude(eff.omega, shifts, delta0)
-        survival.flags.writeable = False
-        return HolonomicChannel(p, eff, b, gammas if gammas.ndim else float(gammas),
-                                weights, survival, curve_terms)
-
-    return make
+def _survival(eff: LambdaParams, occupations: np.ndarray, delta0: float,
+              gammas: np.ndarray) -> np.ndarray:
+    """Read-only u_m of the effective drive at detuning delta' + gamma*m, one row per gamma."""
+    survival = bright_survival_amplitude(eff.omega, eff.delta + gammas[..., None] * occupations,
+                                         delta0)
+    survival.flags.writeable = False
+    return survival
 
 
 def _input_terms(p: LambdaParams, eff: LambdaParams, varthetas: np.ndarray,
@@ -251,17 +236,16 @@ def fidelity_curve(ch: HolonomicChannel) -> tuple[np.ndarray, np.ndarray]:
     have shape (len(gamma), N_INPUT_STATES); it checks nothing, as
     ``build_channel`` sized the channel for this table.
     """
-    terms = ch._curve_terms  # only _curve attaches terms
-    if terms is None:
-        terms = _input_terms(ch.params, ch.effective, _THETA_RULE.nodes)
+    terms = _input_terms(ch.params, ch.effective, _THETA_RULE.nodes)
     return _THETA_RULE.nodes, _bath_fidelity(terms, ch.weights, ch.survival)
 
 
-def curve_average(values: np.ndarray) -> float | np.ndarray:
-    """sin-weighted average of a :func:`fidelity_curve` table over its last axis.
+def average_fidelity(values: np.ndarray) -> float | np.ndarray:
+    """F_av: the sin-weighted average of a :func:`fidelity_curve` table over its last axis.
 
     The last axis holds the N_INPUT_STATES rule nodes.  A float for a 1-D
-    table, one average per row otherwise.
+    table, one average per row otherwise.  Every F_av of the package is
+    reduced here.
     """
     if values.shape[-1:] != (N_INPUT_STATES,):
         raise ValueError(f"a fidelity table's last axis must hold the N_INPUT_STATES = "
@@ -270,34 +254,24 @@ def curve_average(values: np.ndarray) -> float | np.ndarray:
     return float(averages) if averages.ndim == 0 else averages
 
 
-def average_fidelity(ch: HolonomicChannel) -> float | np.ndarray:
-    """sin-weighted average of F over the N_INPUT_STATES equidistant vartheta nodes.
-
-    A float for a scalar-gamma channel, one average per gamma otherwise.
-    """
-    return curve_average(fidelity_curve(ch)[1])
-
-
 def _curve(ch: HolonomicChannel):
     """(F_av over ch's gamma grid, objective gamma -> F_av at ch's drive, errors and bath).
 
-    The curve's input-state terms are computed once, read-only.  Both results
-    go through ``average_fidelity`` on channels carrying them, because the
-    benchmark's planted-fault test patches that function: the grid on ch, each
-    objective call on a channel of ch's effective drive and thermal weights.
-    A call checks nothing, as the refinement passes one gamma at a time from
-    a grid bracket whose domain and size ``build_channel`` checked, and
-    computes only the survival amplitudes, the bath reduction and the rule's
-    average.  The objective equals ``average_fidelity(build_channel(p, e,
-    ch.bath, gamma))`` bit for bit and keeps ch's survival array alive no
-    longer than ch.
+    The curve's input-state terms are computed once.  The grid and each
+    objective call run the same three steps, survival amplitudes ->
+    ``_bath_fidelity`` -> ``average_fidelity``, the one reduction, and the
+    objective builds no channel.  A call checks nothing, as the refinement
+    passes one gamma at a time from a grid bracket whose domain and size
+    ``build_channel`` checked.  The objective equals
+    ``average_fidelity(fidelity_curve(build_channel(p, e, ch.bath, gamma))[1])``
+    bit for bit and keeps ch's survival array alive no longer than ch.
     """
     terms = _input_terms(ch.params, ch.effective, _THETA_RULE.nodes)
-    for array in terms:
-        array.flags.writeable = False
-    make = _channel_maker(ch.params, ch.effective, ch.bath, ch.weights, terms)
+    eff, weights, delta0 = ch.effective, ch.weights, ch.params.delta0
+    occupations = ch.bath.occupations()
 
     def f_av(gamma: float | np.ndarray) -> float | np.ndarray:
-        return average_fidelity(make(np.asarray(gamma, dtype=float)))
+        survival = _survival(eff, occupations, delta0, np.asarray(gamma, dtype=float))
+        return average_fidelity(_bath_fidelity(terms, weights, survival))
 
-    return average_fidelity(replace(ch, _curve_terms=terms)), f_av
+    return average_fidelity(_bath_fidelity(terms, weights, ch.survival)), f_av

@@ -22,7 +22,7 @@ import re
 import sys
 
 from . import __version__
-from .channel import N_INPUT_STATES, build_channel, curve_average, fidelity_curve
+from .channel import N_INPUT_STATES, average_fidelity, build_channel, fidelity_curve
 from .error_model import ErrorParams
 from .lambda_system import LambdaParams
 from .reference import BRUTE_FORCE_MAX_COLLAPSED, run_validation_suite
@@ -231,7 +231,7 @@ def cmd_fidelity(args) -> int:
     print("vartheta_rad,fidelity")
     for vartheta, value in zip(varthetas, values):
         print(f"{vartheta:.6f},{value:.12f}")
-    print(f"F_av (n={N_INPUT_STATES}) = {curve_average(values):.12f}")
+    print(f"F_av (n={N_INPUT_STATES}) = {average_fidelity(values):.12f}")
     return 0
 
 

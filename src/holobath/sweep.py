@@ -4,12 +4,12 @@ A sweep evaluates the sin-weighted average fidelity on a gamma grid for one or
 more error settings.  One ``channel._curve`` call per setting, on one channel
 over the whole grid, returns the curve and its objective gamma -> F_av: the
 effective drive, the thermal weights, the input-state terms, the bath
-occupations and the ideal drive's gap delta0 are computed once per curve,
-and the average uses the one vartheta rule of :mod:`holobath.channel`, so
+occupations and the ideal drive's gap delta0 are computed once per curve, so
 every golden-section step recomputes only the survival amplitudes, the bath
-reduction and the rule's average.  Values are formatted to 12
-significant digits from Python floats, one list per column, which makes the
-emitted CSV byte-identical for identical configurations.
+reduction and ``channel.average_fidelity``, the one F_av reduction.  Values
+are formatted to 12 significant digits from Python floats, one list per
+column, which makes the emitted CSV byte-identical for identical
+configurations.
 
 Two optima matter for a fidelity curve: the global maximum (which sits at
 gamma = 0 whenever the bath cannot beat the bare errored gate) and the best

@@ -63,7 +63,7 @@ def test_criterion_2_zero_error_zero_coupling_identity():
     worst = 0.0
     for n_spins, temperature in ((1, 10.0), (20, 50.0), (20, 300.0), (48, 1000.0)):
         ch = build_channel(PARAMS, ErrorParams(), bath(n_spins, temperature), 0.0)
-        worst = max(worst, abs(average_fidelity(ch) - 1.0))
+        worst = max(worst, abs(average_fidelity(fidelity_curve(ch)[1]) - 1.0))
     report(worst < 1e-12, "criterion 2 (zero-error, zero-coupling identity)",
            f"max |F_av - 1| = {worst:.2e} over (N, T) combinations (tol 1e-12)")
 
@@ -71,7 +71,8 @@ def test_criterion_2_zero_error_zero_coupling_identity():
 def test_criterion_3_bath_free_error_baseline():
     start = time.perf_counter()
     values = [
-        average_fidelity(build_channel(PARAMS, ErrorParams.symmetric(e), bath(20, 50.0), 0.0))
+        average_fidelity(fidelity_curve(
+            build_channel(PARAMS, ErrorParams.symmetric(e), bath(20, 50.0), 0.0))[1])
         for e in EPS_VALUES
     ]
     elapsed = time.perf_counter() - start

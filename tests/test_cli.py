@@ -704,3 +704,53 @@ class TestSharedParser:
         monkeypatch.setattr(cli, "cmd_optimize", lambda args: seen.append(args.command) or 7)
         assert run_cli(argv) == 7
         assert seen == ["optimize"]
+
+
+def printed_f_avs(tmp_path, capsys) -> dict[str, list[float]]:
+    """Every F_av that `fidelity`, `optimize`, `sweep` and `reproduce fig1_left` print or write."""
+    run_cli(["fidelity", "--eps-kappa", "0.1", "--gamma-ns-inv", "2.8"])
+    (average,) = re.findall(r"^F_av \(n=30\) = (\S+)$", capsys.readouterr().out, re.MULTILINE)
+    # eps = 0.2 peaks inside the grid, so its F_av* comes from the refinement.
+    run_cli(["optimize", "--eps-kappa", "0.2"])
+    (optimum,) = re.findall(r"F_av\*=(\S+)%", capsys.readouterr().out)
+    run_cli(["sweep", "--eps-kappa", "0.1", "--eps-kappa", "0.2", "--gamma-stop-ns-inv", "1",
+             "--gamma-step-ns-inv", "0.5", "--output", str(tmp_path / "s.csv")])
+    rows = [line.split(",") for line in (tmp_path / "s.csv").read_text().splitlines()
+            if not line.startswith("#")]
+    run_cli(["reproduce", "fig1_left", "--out-dir", str(tmp_path)])
+    optima = [line.split(",") for line in
+              (tmp_path / "fig1_left_optima.csv").read_text().splitlines()[1:]]
+    capsys.readouterr()
+    return {
+        "fidelity": [float(average)],
+        "optimize": [float(optimum) / 100.0],
+        "sweep": [float(cell) for row in rows[1:] for cell in row[1:]],
+        "reproduce": [float(row[i]) for row in optima for i in (2, 5)],
+    }
+
+
+def test_every_printed_f_av_goes_through_the_one_reduction(tmp_path, monkeypatch, capsys):
+    # Offsetting channel.average_fidelity wherever holobath bound it moves every
+    # F_av the commands print by the same amount: no command averages elsewhere.
+    before = printed_f_avs(tmp_path, capsys)
+    original = channel_mod.average_fidelity
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "holobath" or name.startswith("holobath.")):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, lambda values: original(values) - 0.05)
+    after = printed_f_avs(tmp_path, capsys)
+    assert after.keys() == before.keys()
+    for command, values in before.items():
+        assert len(after[command]) == len(values) > 0, command
+        # optimize prints F_av* in percent to 4 decimals
+        tolerance = 2e-6 if command == "optimize" else 1e-11
+        assert after[command] == pytest.approx([v - 0.05 for v in values], abs=tolerance), command
+
+
+def test_readme_python_example_prints_its_claimed_value(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"\n## Python API\n.*?```python\n(.*?)```", readme, re.DOTALL)
+    (claimed,) = re.findall(r"^print\(.*\)  # (\d+\.\d+)\.\.\.$", block, re.MULTILINE)
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.startswith(claimed)

@@ -6,7 +6,6 @@ import math
 import os
 import tracemalloc
 import weakref
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +14,7 @@ from hypothesis import strategies as st
 
 import holobath.channel as channel_mod
 import holobath.sweep as sweep_mod
-from holobath.channel import average_fidelity, build_channel
+from holobath.channel import average_fidelity, build_channel, fidelity_curve
 from holobath.error_model import ErrorParams
 from holobath.lambda_system import LambdaParams
 from holobath.spin_bath import KB_OVER_HBAR_NS_INV_PER_K, SpinBath
@@ -75,7 +74,7 @@ REPORT_LINES = {
 def public_f_av(cfg, gamma):
     """F_av of the first setting through the public API, independent of the per-curve objective."""
     errors = cfg.error_settings[0]
-    return average_fidelity(build_channel(cfg.params, errors, cfg.bath, gamma))
+    return average_fidelity(fidelity_curve(build_channel(cfg.params, errors, cfg.bath, gamma))[1])
 
 
 def small_config(**overrides):
@@ -316,17 +315,6 @@ class TestCurveObjective:
             value = f(float(gamma))
             assert type(value) is float and value == public_f_av(cfg, float(gamma))
 
-    def test_curve_terms_stand_in_only_for_their_own_grid(self):
-        errors, bath = self.SETTINGS["asymmetric"]
-        ch = build_channel(LambdaParams(omega=1.0, delta=2.0), errors, bath, np.linspace(0, 8, 9))
-        varthetas = np.arange(30) * (math.pi / 29)
-        carrying = replace(ch, _curve_terms=channel_mod._input_terms(ch.params, ch.effective,
-                                                                     varthetas))
-        # Only _curve attaches terms, computed on the nodes of the one vartheta rule.
-        expected = channel_mod.fidelity_curve(ch)[1]
-        assert np.array_equal(channel_mod.fidelity_curve(carrying)[1], expected)
-        assert np.array_equal(average_fidelity(carrying), average_fidelity(ch))
-
     def test_objective_keeps_no_grid_survival(self):
         # A sweep holds one curve's (grid, N+1) survival array at a time.
         errors, bath = self.SETTINGS["asymmetric"]
@@ -338,7 +326,7 @@ class TestCurveObjective:
         gc.collect()
         assert survival() is None
         assert np.array_equal(f(gammas), values)
-        assert f(2.8) == average_fidelity(build_channel(p, errors, bath, 2.8))
+        assert f(2.8) == average_fidelity(fidelity_curve(build_channel(p, errors, bath, 2.8))[1])
 
     @pytest.mark.parametrize("run", ["optimize_gamma", "reproduce"])
     def test_gamma_independent_work_runs_once_per_curve(self, run, monkeypatch, tmp_path):
