@@ -39,11 +39,14 @@ REPORT_LINES = {
         "  eps_0.15: bath optimum gamma*=2.8314 ns^-1, F_av*=97.501%  (gamma=0: 97.352%)",
         "  eps_0.2: bath optimum gamma*=2.7711 ns^-1, F_av*=97.427%  (gamma=0: 95.469%)",
         "[PASS] eps_0.1: gamma* within 2.8 +/- 0.2 ns^-1 (measured 2.8917)",
-        "[PASS] eps_0.1: F_av* within [97.3, 97.4]% +/- 0.5 pp (measured 97.488%)",
+        "[PASS] eps_0.1: F_av* within [97.3, 97.4]% +/- 0.5 pp (measured 97.488%, "
+        "0.088 pp outside the band)",
         "[PASS] eps_0.15: gamma* within 2.8 +/- 0.2 ns^-1 (measured 2.8314)",
-        "[PASS] eps_0.15: F_av* within [97.3, 97.4]% +/- 0.5 pp (measured 97.501%)",
+        "[PASS] eps_0.15: F_av* within [97.3, 97.4]% +/- 0.5 pp (measured 97.501%, "
+        "0.101 pp outside the band)",
         "[PASS] eps_0.2: gamma* within 2.8 +/- 0.2 ns^-1 (measured 2.7711)",
-        "[PASS] eps_0.2: F_av* within [97.3, 97.4]% +/- 0.5 pp (measured 97.427%)",
+        "[PASS] eps_0.2: F_av* within [97.3, 97.4]% +/- 0.5 pp (measured 97.427%, "
+        "0.027 pp outside the band)",
         "[PASS] gamma=0 baseline spans [95.5, 98.6]% +/- 0.5 pp, decreasing in the error size "
         "(measured ['98.79%', '97.35%', '95.47%'])",
     ],
@@ -608,15 +611,120 @@ class TestReproduce:
         reproduce(figure, out_dir=str(tmp_path))
         assert len(calls) == 3, calls  # every figure has three curves
 
-    @pytest.mark.parametrize("figure", ["fig1_left", "fig1_right"])
+    @pytest.mark.parametrize("figure", ["fig1_left", "fig1_right", "fig2"])
     def test_missing_interior_optimum_fails(self, tmp_path, monkeypatch, figure):
         # eps = 0.1 has its global optimum at gamma = 0, so only the interior
-        # search can supply its bath optimum.
+        # search can supply its bath optimum.  N22's global optimum is interior:
+        # without the search, the curve keeps its grid maximum.
+        label, global_gamma = ("N22", "2.8000") if figure == "fig2" else ("eps_0.1", "0.0000")
         original = sweep_mod.refine_interior_optimum
         monkeypatch.setattr(sweep_mod, "refine_interior_optimum",
-                            lambda f, gammas, values, label: None if label == "eps_0.1"
-                            else original(f, gammas, values, label))
+                            lambda f, gammas, values, name: None if name == label
+                            else original(f, gammas, values, name))
         report = reproduce(figure, out_dir=str(tmp_path))
         assert not report.passed
-        assert "  eps_0.1: no interior optimum; global gamma*=0.0000" in report.lines
-        assert "[FAIL] eps_0.1: interior optimum exists" in report.lines
+        assert f"  {label}: no interior optimum; global gamma*={global_gamma}" in report.lines
+        assert f"[FAIL] {label}: interior optimum exists" in report.lines
+        if figure == "fig2":  # both figure checks measure the missing gamma* as NaN
+            for check in ("[FAIL] all gamma* within", "[FAIL] gamma* spread below"):
+                [line] = [line for line in report.lines if line.startswith(check)]
+                assert "nan" in line, line
+
+
+def figure_curves(labels, gammas, f_avs=None, baselines=None):
+    """Curves as the figure checks read them: a bath optimum and a gamma = 0 value each."""
+    f_avs = f_avs or [0.9735] * len(labels)
+    baselines = baselines or [0.97] * len(labels)
+    curves = []
+    for label, gamma, f_av, baseline in zip(labels, gammas, f_avs, baselines):
+        bath = CurveOptimum(label, gamma, f_av, on_boundary=False)
+        curves.append(sweep_mod.FigureCurve(label, np.array([baseline]), bath, bath))
+    return curves
+
+
+D = 1e-9  # how far a quantity sits inside or outside its band
+EPS_LABELS = ["eps_0.1", "eps_0.15", "eps_0.2"]
+N_LABELS = ["N16", "N22", "N28"]
+# The third gamma* at which fig2's spread (max - min) / mean over (2.73, 2.77, x) is 3%.
+SPREAD_EDGE = (3 * 2.73 + 0.03 * (2.73 + 2.77)) / (3 - 0.03)
+
+# Curves with every quantity just inside its band.  fig2's bands and its
+# spread cannot all be at their edges at once, so it has three layouts.
+INSIDE = {
+    "fig1_left": ("fig1_left", EPS_LABELS, dict(
+        gammas=[2.6 + D, 3.0 - D, 2.8],
+        f_avs=[0.968 + D, 0.979 - D, 0.9735],
+        baselines=[0.991 - D, 0.991 - 2 * D, 0.95 + D])),
+    "fig1_right": ("fig1_right", EPS_LABELS, dict(gammas=[2.75 - D, 2.85 + D, 0.34])),
+    "fig2_low": ("fig2", N_LABELS, dict(gammas=[2.69 + D, 2.70, 2.71])),
+    "fig2_high": ("fig2", N_LABELS, dict(gammas=[2.83, 2.84, 2.85 - D])),
+    "fig2_spread": ("fig2", N_LABELS, dict(gammas=[2.73, 2.77, SPREAD_EDGE - D])),
+}
+
+# What each check compares, as its text names it after the curve label.
+GAMMA = "gamma* within 2.8 +/- 0.2 ns^-1"
+F_AV = "F_av* within [97.3, 97.4]% +/- 0.5 pp"
+BASELINE = "gamma=0 baseline spans [95.5, 98.6]% +/- 0.5 pp, decreasing in the error size"
+SHIFT = "gamma*(300 K) differs from the 50 K optimum 2.8 ns^-1 by more than the grid step"
+BAND = "all gamma* within [2.74, 2.8] ns^-1 +/- 0.05"
+SPREAD = "gamma* spread below 3%"
+
+# One quantity moved just outside its band, and the one check that must fail.
+OUTSIDE = [
+    ("fig1_left", "gammas", 0, 2.6 - D, "eps_0.1: " + GAMMA),
+    ("fig1_left", "gammas", 1, 3.0 + D, "eps_0.15: " + GAMMA),
+    ("fig1_left", "f_avs", 0, 0.968 - D, "eps_0.1: " + F_AV),
+    ("fig1_left", "f_avs", 1, 0.979 + D, "eps_0.15: " + F_AV),
+    ("fig1_left", "baselines", 0, 0.991 + D, BASELINE),
+    ("fig1_left", "baselines", 2, 0.95 - D, BASELINE),
+    ("fig1_left", "baselines", 1, 0.991 - D, BASELINE),  # equal neighbours: not decreasing
+    ("fig1_right", "gammas", 0, 2.75 + D, "eps_0.1: " + SHIFT),
+    ("fig1_right", "gammas", 1, 2.85 - D, "eps_0.15: " + SHIFT),
+    ("fig2_low", "gammas", 0, 2.69 - D, BAND),
+    ("fig2_high", "gammas", 2, 2.85 + D, BAND),
+    ("fig2_spread", "gammas", 2, SPREAD_EDGE + D, SPREAD),
+]
+
+
+def check_name(text):
+    """A verdict's text without its curve label and its measured value."""
+    return text.split(": ", 1)[-1].split(" (measured")[0]
+
+
+def figure_verdicts(layout, moved=None):
+    figure, labels, inside = INSIDE[layout]
+    quantities = {name: list(values) for name, values in inside.items()}
+    if moved:
+        name, index, value = moved
+        quantities[name][index] = value
+    return list(sweep_mod.FIGURE_SPECS[figure].checks(figure_curves(labels, **quantities)))
+
+
+class TestFigureChecks:
+    """Each check against a quoted number passes just inside its band and fails just outside."""
+
+    @pytest.mark.parametrize("layout", sorted(INSIDE))
+    def test_curves_just_inside_every_band_pass(self, layout):
+        verdicts = figure_verdicts(layout)
+        assert len(verdicts) == {"fig1_left": 7, "fig1_right": 3}.get(layout, 2)
+        assert all(ok for ok, _ in verdicts), verdicts
+
+    @pytest.mark.parametrize("layout, name, index, value, failing", OUTSIDE,
+                             ids=[f"{layout}-{name}{index}" for layout, name, index, *_ in OUTSIDE])
+    def test_one_quantity_outside_its_band_fails_that_check_alone(
+            self, layout, name, index, value, failing):
+        verdicts = figure_verdicts(layout, (name, index, value))
+        failed = [text for ok, text in verdicts if not ok]
+        assert len(failed) == 1 and failed[0].startswith(f"{failing} (measured "), verdicts
+
+    def test_every_check_is_moved_outside_its_band(self):
+        names = {check_name(text) for layout in INSIDE for _, text in figure_verdicts(layout)}
+        assert names == {check_name(failing) for *_, failing in OUTSIDE}
+        assert names == {GAMMA, F_AV, BASELINE, SHIFT, BAND, SPREAD}
+
+    @pytest.mark.parametrize("f_av, margin", [(0.9735, "0.000"), (0.968 + D, "0.500"),
+                                              (0.97488, "0.088"), (0.9725, "0.050")])
+    def test_f_av_text_states_the_distance_to_the_band(self, f_av, margin):
+        [(ok, text)] = [v for v in sweep_mod.FIGURE_SPECS["fig1_left"].checks(
+            figure_curves(["eps_0.1"], [2.8], [f_av], [0.97])) if "F_av*" in v[1]]
+        assert ok and text.endswith(f", {margin} pp outside the band)"), text
