@@ -625,7 +625,7 @@ class TestReproduce:
         assert not report.passed
         assert f"  {label}: no interior optimum; global gamma*={global_gamma}" in report.lines
         assert f"[FAIL] {label}: interior optimum exists" in report.lines
-        if figure == "fig2":  # both figure checks measure the missing gamma* as NaN
+        if figure == "fig2":  # both fig2 checks measure the missing gamma* as NaN
             for check in ("[FAIL] all gamma* within", "[FAIL] gamma* spread below"):
                 [line] = [line for line in report.lines if line.startswith(check)]
                 assert "nan" in line, line
